@@ -199,8 +199,8 @@ func ByName(name string, m *mesh.Mesh, rng *stats.Stream) (Allocator, error) {
 // ByNameSearch is ByName with an explicit search executor: strategies
 // that scan (SearchUser) run their searches through it. A nil search
 // keeps every strategy on the serial scans. The executor must be bound
-// to m; passing a sharded executor parallelizes the candidate scans of
-// a single simulation with placements bit-identical to serial.
+// to m; passing a sharded executor parallelizes the BestFit scans of a
+// single simulation with placements bit-identical to serial.
 func ByNameSearch(name string, m *mesh.Mesh, rng *stats.Stream, search mesh.Searcher) (Allocator, error) {
 	for _, e := range registry {
 		if e.name != name {

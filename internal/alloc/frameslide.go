@@ -43,9 +43,9 @@ func (f *FrameSliding) Allocate(req Request) (Allocation, bool) {
 		return Allocation{}, false
 	}
 	// The stride scan itself lives on the occupancy index
-	// (mesh.SlideFit) and runs through the search executor, so a
-	// sharded executor probes frame rows in parallel like any other
-	// candidate scan.
+	// (mesh.SlideFit) and runs through the search executor; every
+	// executor answers it serially, since a frame probe finishes
+	// before a fan-out could pay.
 	h := req.Depth()
 	if s, ok := f.search.FrameSlide(req.W, req.L, h); ok {
 		return commitWhole(f.m, s), true

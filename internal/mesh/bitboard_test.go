@@ -107,28 +107,28 @@ func TestDoubleRowMatchesModulo(t *testing.T) {
 }
 
 // churnBitboard drives random sub-mesh allocate/release traffic —
-// including rejected requests, which must roll back cleanly — while
-// cross-checking the word-parallel candidate enumeration against the
-// retained run-table walk after every mutation.
+// including rejected requests, which must roll back cleanly — against
+// the shadow model, cross-checking the word-parallel candidate
+// enumeration against the reference run-table walk after every
+// mutation.
 func churnBitboard(t *testing.T, m *Mesh, rng *rand.Rand, steps int) {
 	t.Helper()
+	fm := newFaultModel(m)
 	var live []Submesh
 	for step := 0; step < steps; step++ {
 		if rng.Intn(3) > 0 || len(live) == 0 {
 			w, l := 1+rng.Intn(m.w/2+1), 1+rng.Intn(m.l/2+1)
 			s := SubAt(rng.Intn(m.w-w+1), rng.Intn(m.l-l+1), w, l)
-			if err := m.AllocateSub(s); err == nil {
+			if fm.allocSub(t, s) == nil {
 				live = append(live, s)
 			}
 		} else {
 			i := rng.Intn(len(live))
-			if err := m.ReleaseSub(live[i]); err != nil {
-				t.Fatal(err)
-			}
+			fm.releaseSub(t, live[i])
 			live[i] = live[len(live)-1]
 			live = live[:len(live)-1]
 		}
-		checkTables(t, m)
+		fm.verify(t)
 		for q := 0; q < 4; q++ {
 			w, l := 1+rng.Intn(m.w), 1+rng.Intn(m.l)
 			y := rng.Intn(m.l)
@@ -156,23 +156,22 @@ func TestBitboardChurnTorus(t *testing.T) {
 func TestBitboardChurn3D(t *testing.T) {
 	rng := rand.New(rand.NewSource(76))
 	m := New3D(70, 9, 5)
+	fm := newFaultModel(m)
 	var live []Submesh
 	for step := 0; step < 300; step++ {
 		if rng.Intn(3) > 0 || len(live) == 0 {
 			w, l, h := 1+rng.Intn(m.w/2+1), 1+rng.Intn(m.l), 1+rng.Intn(m.h)
 			s := SubAt3D(rng.Intn(m.w-w+1), rng.Intn(m.l-l+1), rng.Intn(m.h-h+1), w, l, h)
-			if err := m.AllocateSub(s); err == nil {
+			if fm.allocSub(t, s) == nil {
 				live = append(live, s)
 			}
 		} else {
 			i := rng.Intn(len(live))
-			if err := m.ReleaseSub(live[i]); err != nil {
-				t.Fatal(err)
-			}
+			fm.releaseSub(t, live[i])
 			live[i] = live[len(live)-1]
 			live = live[:len(live)-1]
 		}
-		checkTables(t, m)
+		fm.verify(t)
 		for q := 0; q < 3; q++ {
 			w, l, h := 1+rng.Intn(m.w), 1+rng.Intn(m.l), 1+rng.Intn(m.h)
 			checkFitMask3D(t, m, rng.Intn(m.l-l+1), rng.Intn(m.h-h+1), w, l, h)

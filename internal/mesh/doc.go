@@ -8,31 +8,34 @@
 //
 // Occupancy is backed by an incrementally maintained free-space index:
 //
-//   - a free-run table (rightRun) giving, per processor, the length of
-//     the free run starting there, kept per (row, plane);
+//   - a word-parallel bitboard (freeW), one uint64 per 64 columns of
+//     each (row, plane), bit set = free — the single authoritative
+//     store. Busy counts are masked popcounts, free runs are
+//     trailing-zero scans, and window fits are shift-AND masks, all
+//     derived from the words on demand;
 //   - lazily repaired per-row max-run aggregates (rowMax) that let the
 //     searches discard whole rows in O(1), stacked into a per-plane
-//     z-axis aggregate (planeMax) that discards whole planes;
-//   - a journaled far-corner summed-area table (sat) — a 3D prefix
-//     volume whose z = 0 slab is the classic 2D table on depth-1
-//     meshes — answering any cuboid's busy count in eight lookups
-//     (four on the 2D paths).
+//     z-axis aggregate (planeMax) that discards whole planes.
 //
 // The index is shared by every strategy; no operation rebuilds a full
 // table per allocation decision. See the Mesh type for the exact
 // invariants and maintenance costs, and docs/occupancy-index.md at the
-// repository root for a narrative walkthrough with diagrams.
+// repository root for a narrative walkthrough with diagrams. The tests
+// hold every mutation to a shadow occupancy model they keep
+// themselves, and the searches to reference scans kept in
+// reference_test.go.
 //
 // The constrained-largest search (LargestFree, the heart of GABL's
 // carving) runs as a best-first shape-probe phase backed by an O(W·L)
 // maximal-rectangle-in-histogram sweep — over the doubled seam band on
 // a torus — with release-epoch memoization of alloc-monotone facts;
-// the pre-histogram per-anchor scan is retained as the reference its
+// the pre-histogram per-anchor scan is kept as the reference its
 // differential tests compare against (histogram.go,
 // docs/occupancy-index.md §6). Its volumetric counterpart
 // (LargestFree3D) runs the same sweep per AND-projected plane under a
-// z-extent outer loop, with the naive volumetric scan retained as
-// largestFreeScan3D (volume.go, docs/occupancy-index.md §7).
+// z-extent outer loop, with the naive volumetric scan kept as
+// largestFreeScan3D (volume.go, reference_test.go,
+// docs/occupancy-index.md §7).
 //
 // # Topologies
 //
@@ -61,13 +64,15 @@
 //
 // Every search also runs behind the Searcher interface: NewSerial
 // binds the scans above to the calling goroutine, and NewSharded runs
-// them on a pool of workers — the (z, y) base space split into
-// contiguous stripes, per-worker scratch, owner-side journal drains,
-// and stripe-ordered reductions that reproduce the serial tie-breaks
-// exactly, so placements are bit-identical at every worker count
-// (sharded.go, docs/occupancy-index.md §8). The allocation strategies
-// route their scans through a Searcher, which is how one -workers knob
-// parallelizes a whole simulation's searches.
+// the BestFit scan on a pool of workers — the (z, y) base space split
+// into contiguous stripes, per-worker scratch, owner-side aggregate
+// repairs, and a stripe-ordered reduction that reproduces the serial
+// tie-break exactly, so placements are bit-identical at every worker
+// count (sharded.go, docs/occupancy-index.md §8). The other searches
+// finish before a fan-out could pay, so the sharded executor runs them
+// serially. The allocation strategies route their scans through a
+// Searcher, which is how one -workers knob parallelizes a whole
+// simulation's BestFit searches.
 //
 // # Coordinates
 //

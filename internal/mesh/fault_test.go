@@ -1,15 +1,17 @@
 package mesh
 
-// Faulty-mesh oracle: every Fail/Recover mutation is checked against
-// its contract (checkFail/checkRecover, also wired into FuzzIndexOps),
-// and randomized churn interleaving failures, recoveries, allocations
-// and releases is verified against a naive per-cell model that
-// distinguishes pinned from allocated cells — busy must always read as
-// allocated ∪ pinned, and the release paths must never free a pin. The
-// sharded determinism matrix reruns serial-vs-sharded search identity
-// on churn-plus-failure traces at every worker count.
+// Faulty-mesh checks and the shadow occupancy model: every Fail/Recover
+// mutation is checked against its contract (checkFail/checkRecover),
+// and every churn driver in the package — these fault churns, the
+// index, volume and bitboard churns and FuzzIndexOps — mirrors its
+// operations into a per-cell model that distinguishes pinned from
+// allocated cells (faultModel): busy must always read as allocated ∪
+// pinned, and the release paths must never free a pin. The sharded
+// determinism matrix reruns serial-vs-sharded search identity on
+// churn-plus-failure traces at every worker count.
 
 import (
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -90,9 +92,13 @@ func checkRecover(t *testing.T, m *Mesh, c Coord) {
 	}
 }
 
-// faultModel is the naive per-cell oracle: alloc and pin per cell, with
-// the mesh's busy map required to equal alloc ∪ pin at all times. The
-// overlay bit the mesh keeps is the derived alloc ∧ pin.
+// faultModel is the shadow occupancy model every churn driver keeps
+// next to its mesh: alloc and pin per cell, updated only from the
+// operations the driver issues and never read back from the mesh. The
+// mesh's busy map must equal alloc ∪ pin at all times, and the overlay
+// bit the mesh keeps is the derived alloc ∧ pin. Each mutation helper
+// below runs the operation on the mesh, demands the model's verdict on
+// whether it may succeed, and applies it to the model only then.
 type faultModel struct {
 	m     *Mesh
 	alloc []bool
@@ -105,19 +111,19 @@ func newFaultModel(m *Mesh) *faultModel {
 
 func (fm *faultModel) busy(i int) bool { return fm.alloc[i] || fm.pin[i] }
 
-// verify compares the mesh against the model cell by cell and count by
-// count, then runs the full table oracle.
-func (fm *faultModel) verify(t *testing.T) {
-	t.Helper()
-	m := fm.m
+// diff compares a mesh (the model's own, or a clone of it) against the
+// model: the busy map derived from the words cell by cell, the pin
+// marks, and the free, allocated and pinned counts. It returns the
+// first disagreement, or nil.
+func (fm *faultModel) diff(m *Mesh) error {
+	busy := busySnapshot(m)
 	nAlloc, nPin, nBusy := 0, 0, 0
 	for i := range fm.alloc {
-		c := m.CoordOf(i)
-		if m.Busy(c) != fm.busy(i) {
-			t.Fatalf("busy(%v) = %v, model says %v\n%s", c, m.Busy(c), fm.busy(i), m)
+		if busy[i] != fm.busy(i) {
+			return fmt.Errorf("busy(%v) = %v, model says %v\n%s", m.CoordOf(i), busy[i], fm.busy(i), m)
 		}
-		if m.Pinned(c) != fm.pin[i] {
-			t.Fatalf("Pinned(%v) = %v, model says %v\n%s", c, m.Pinned(c), fm.pin[i], m)
+		if c := m.CoordOf(i); m.Pinned(c) != fm.pin[i] {
+			return fmt.Errorf("Pinned(%v) = %v, model says %v\n%s", c, m.Pinned(c), fm.pin[i], m)
 		}
 		if fm.alloc[i] {
 			nAlloc++
@@ -129,11 +135,21 @@ func (fm *faultModel) verify(t *testing.T) {
 			nBusy++
 		}
 	}
-	if m.AllocatedCount() != nAlloc || m.PinnedCount() != nPin || m.FreeCount() != m.Size()-nBusy {
-		t.Fatalf("counts alloc=%d pins=%d free=%d, model says %d/%d/%d",
-			m.AllocatedCount(), m.PinnedCount(), m.FreeCount(), nAlloc, nPin, m.Size()-nBusy)
+	if m.FreeCount() != m.Size()-nBusy || m.AllocatedCount() != nAlloc || m.PinnedCount() != nPin {
+		return fmt.Errorf("counts free=%d alloc=%d pins=%d, model says %d/%d/%d",
+			m.FreeCount(), m.AllocatedCount(), m.PinnedCount(), m.Size()-nBusy, nAlloc, nPin)
 	}
-	checkTables(t, m)
+	return nil
+}
+
+// verify holds the mesh to the model, then runs the word and aggregate
+// invariants (checkTables).
+func (fm *faultModel) verify(t *testing.T) {
+	t.Helper()
+	if err := fm.diff(fm.m); err != nil {
+		t.Fatal(err)
+	}
+	checkTables(t, fm.m)
 }
 
 // boxCells lists the cuboid's cell indexes on the model's mesh.
@@ -149,6 +165,157 @@ func (fm *faultModel) boxCells(s Submesh) []int {
 	return out
 }
 
+// inBounds reports whether the (valid) cuboid lies on the mesh.
+func (fm *faultModel) inBounds(s Submesh) bool {
+	return fm.m.InBounds(s.Base()) && fm.m.InBounds(s.End())
+}
+
+// allocSub runs AllocateSub and demands the model's verdict: success
+// exactly when the cuboid is valid, in bounds and every cell is
+// neither allocated nor pinned.
+func (fm *faultModel) allocSub(t *testing.T, s Submesh) error {
+	t.Helper()
+	want := s.Valid() && fm.inBounds(s)
+	if want {
+		for _, i := range fm.boxCells(s) {
+			if fm.busy(i) {
+				want = false
+				break
+			}
+		}
+	}
+	err := fm.m.AllocateSub(s)
+	if (err == nil) != want {
+		t.Fatalf("AllocateSub(%v) err=%v, model wants success=%v\n%s", s, err, want, fm.m)
+	}
+	if err == nil {
+		for _, i := range fm.boxCells(s) {
+			fm.alloc[i] = true
+		}
+	}
+	return err
+}
+
+// releaseSub runs ReleaseSub and demands the model's verdict: an
+// invalid cuboid is a no-op, otherwise success exactly when the cuboid
+// is in bounds and every cell is allocated (a pinned cell must be
+// overlaid by a live allocation — releasing a bare pin is an error, and
+// a successful release keeps every pin busy).
+func (fm *faultModel) releaseSub(t *testing.T, s Submesh) error {
+	t.Helper()
+	want := !s.Valid() || fm.inBounds(s)
+	if s.Valid() && want {
+		for _, i := range fm.boxCells(s) {
+			if !fm.alloc[i] {
+				want = false
+				break
+			}
+		}
+	}
+	err := fm.m.ReleaseSub(s)
+	if (err == nil) != want {
+		t.Fatalf("ReleaseSub(%v) err=%v, model wants success=%v\n%s", s, err, want, fm.m)
+	}
+	if err == nil && s.Valid() {
+		for _, i := range fm.boxCells(s) {
+			fm.alloc[i] = false
+		}
+	}
+	return err
+}
+
+// nodesOK reports whether the per-node request is in bounds, free of
+// duplicates, and every cell passes ok.
+func (fm *faultModel) nodesOK(nodes []Coord, ok func(i int) bool) bool {
+	seen := make(map[int]bool, len(nodes))
+	for _, c := range nodes {
+		if !fm.m.InBounds(c) {
+			return false
+		}
+		i := fm.m.Index(c)
+		if seen[i] || !ok(i) {
+			return false
+		}
+		seen[i] = true
+	}
+	return true
+}
+
+// allocate runs the per-node Allocate and demands the model's verdict:
+// success exactly when every node is in bounds, distinct, and neither
+// allocated nor pinned.
+func (fm *faultModel) allocate(t *testing.T, nodes []Coord) error {
+	t.Helper()
+	want := fm.nodesOK(nodes, func(i int) bool { return !fm.busy(i) })
+	err := fm.m.Allocate(nodes)
+	if (err == nil) != want {
+		t.Fatalf("Allocate(%v) err=%v, model wants success=%v\n%s", nodes, err, want, fm.m)
+	}
+	if err == nil {
+		for _, c := range nodes {
+			fm.alloc[fm.m.Index(c)] = true
+		}
+	}
+	return err
+}
+
+// release runs the per-node Release and demands the model's verdict:
+// success exactly when every node is in bounds, distinct and allocated
+// — the pinned-aware path with mixed pinned, overlaid and
+// plain-allocated cells included.
+func (fm *faultModel) release(t *testing.T, nodes []Coord) error {
+	t.Helper()
+	want := fm.nodesOK(nodes, func(i int) bool { return fm.alloc[i] })
+	err := fm.m.Release(nodes)
+	if (err == nil) != want {
+		t.Fatalf("Release(%v) err=%v, model wants success=%v\n%s", nodes, err, want, fm.m)
+	}
+	if err == nil {
+		for _, c := range nodes {
+			fm.alloc[fm.m.Index(c)] = false
+		}
+	}
+	return err
+}
+
+// fail applies a contract-checked Fail (checkFail) and mirrors it.
+func (fm *faultModel) fail(t *testing.T, c Coord) {
+	t.Helper()
+	checkFail(t, fm.m, c)
+	if fm.m.InBounds(c) {
+		fm.pin[fm.m.Index(c)] = true
+	}
+}
+
+// recover applies a contract-checked Recover (checkRecover) and
+// mirrors it.
+func (fm *faultModel) recover(t *testing.T, c Coord) {
+	t.Helper()
+	checkRecover(t, fm.m, c)
+	if fm.m.InBounds(c) {
+		fm.pin[fm.m.Index(c)] = false
+	}
+}
+
+// reset runs Reset, which frees every cell and recovers every pin.
+func (fm *faultModel) reset() {
+	fm.m.Reset()
+	clear(fm.alloc)
+	clear(fm.pin)
+}
+
+// cells lists, in index order, the coordinates whose model state
+// passes keep.
+func (fm *faultModel) cells(keep func(i int) bool) []Coord {
+	var out []Coord
+	for i := range fm.alloc {
+		if keep(i) {
+			out = append(out, fm.m.CoordOf(i))
+		}
+	}
+	return out
+}
+
 // randCoord draws a coordinate that is occasionally just out of bounds.
 func randCoord(m *Mesh, rng *rand.Rand) Coord {
 	return Coord{rng.Intn(m.W()+2) - 1, rng.Intn(m.L()+2) - 1, rng.Intn(m.H()+2) - 1}
@@ -156,11 +323,7 @@ func randCoord(m *Mesh, rng *rand.Rand) Coord {
 
 // stepFail applies a model-checked Fail of a random cell.
 func (fm *faultModel) stepFail(t *testing.T, rng *rand.Rand) {
-	c := randCoord(fm.m, rng)
-	checkFail(t, fm.m, c)
-	if fm.m.InBounds(c) && !fm.pin[fm.m.Index(c)] {
-		fm.pin[fm.m.Index(c)] = true
-	}
+	fm.fail(t, randCoord(fm.m, rng))
 }
 
 // stepRecover applies a model-checked Recover of a random cell —
@@ -176,15 +339,11 @@ func (fm *faultModel) stepRecover(t *testing.T, rng *rand.Rand) {
 			}
 		}
 	}
-	checkRecover(t, fm.m, c)
-	if fm.m.InBounds(c) {
-		fm.pin[fm.m.Index(c)] = false
-	}
+	fm.recover(t, c)
 }
 
-// stepAllocSub attempts a random cuboid allocation and demands the
-// model's verdict: success exactly when the cuboid is valid, in bounds
-// and every cell is neither allocated nor pinned.
+// stepAllocSub attempts a model-checked allocation of a random small
+// cuboid, occasionally invalid or out of bounds.
 func (fm *faultModel) stepAllocSub(t *testing.T, rng *rand.Rand) {
 	m := fm.m
 	s := Submesh{
@@ -193,31 +352,11 @@ func (fm *faultModel) stepAllocSub(t *testing.T, rng *rand.Rand) {
 	s.X2 = s.X1 + rng.Intn(4)
 	s.Y2 = s.Y1 + rng.Intn(4)
 	s.Z2 = s.Z1 + rng.Intn(2)
-	want := s.Valid() && m.InBounds(s.Base()) && m.InBounds(s.End())
-	if want {
-		for _, i := range fm.boxCells(s) {
-			if fm.busy(i) {
-				want = false
-				break
-			}
-		}
-	}
-	err := m.AllocateSub(s)
-	if (err == nil) != want {
-		t.Fatalf("AllocateSub(%v) err=%v, model wants success=%v\n%s", s, err, want, m)
-	}
-	if err == nil {
-		for _, i := range fm.boxCells(s) {
-			fm.alloc[i] = true
-		}
-	}
+	fm.allocSub(t, s)
 }
 
-// stepReleaseSub attempts a cuboid release around a random busy cell
-// and demands the model's verdict: success exactly when every cell is
-// allocated (pinned cells must be overlaid by a live allocation —
-// releasing a bare pin is an error, and a successful release keeps
-// every pin busy).
+// stepReleaseSub attempts a model-checked release of a random small
+// cuboid, occasionally invalid or out of bounds.
 func (fm *faultModel) stepReleaseSub(t *testing.T, rng *rand.Rand) {
 	m := fm.m
 	s := Submesh{
@@ -226,36 +365,11 @@ func (fm *faultModel) stepReleaseSub(t *testing.T, rng *rand.Rand) {
 	s.X2 = s.X1 + rng.Intn(3)
 	s.Y2 = s.Y1 + rng.Intn(3)
 	s.Z2 = s.Z1 + rng.Intn(2)
-	if !s.Valid() {
-		if err := m.ReleaseSub(s); err != nil {
-			t.Fatalf("ReleaseSub(%v) on invalid cuboid: %v", s, err)
-		}
-		return
-	}
-	inb := m.InBounds(s.Base()) && m.InBounds(s.End())
-	want := inb
-	if inb {
-		for _, i := range fm.boxCells(s) {
-			if !fm.alloc[i] {
-				want = false
-				break
-			}
-		}
-	}
-	err := m.ReleaseSub(s)
-	if (err == nil) != want {
-		t.Fatalf("ReleaseSub(%v) err=%v, model wants success=%v\n%s", s, err, want, m)
-	}
-	if err == nil {
-		for _, i := range fm.boxCells(s) {
-			fm.alloc[i] = false
-		}
-	}
+	fm.releaseSub(t, s)
 }
 
-// stepReleaseCells attempts a per-node Release of a few random cells,
-// exercising the pinned-aware Release path with mixed pinned, overlaid
-// and plain-allocated cells.
+// stepReleaseCells attempts a model-checked per-node Release of a few
+// distinct random cells.
 func (fm *faultModel) stepReleaseCells(t *testing.T, rng *rand.Rand) {
 	m := fm.m
 	n := 1 + rng.Intn(4)
@@ -269,22 +383,7 @@ func (fm *faultModel) stepReleaseCells(t *testing.T, rng *rand.Rand) {
 		seen[m.Index(c)] = true
 		nodes = append(nodes, c)
 	}
-	want := true
-	for _, c := range nodes {
-		if !fm.alloc[m.Index(c)] {
-			want = false
-			break
-		}
-	}
-	err := m.Release(nodes)
-	if (err == nil) != want {
-		t.Fatalf("Release(%v) err=%v, model wants success=%v\n%s", nodes, err, want, m)
-	}
-	if err == nil {
-		for _, c := range nodes {
-			fm.alloc[m.Index(c)] = false
-		}
-	}
+	fm.release(t, nodes)
 }
 
 // runFaultOracle churns one mesh with model-checked fault and
@@ -372,21 +471,14 @@ func TestFaultOracleTorus(t *testing.T) {
 						}
 					}
 					if busy {
-						if err := m.AllocateSub(p); err == nil {
-							t.Fatalf("AllocateSub(%v) succeeded over a busy model cell", p)
-						}
+						fm.allocSub(t, p) // demands the model's failure verdict
 						break
 					}
 				}
 				break
 			}
 			for _, p := range pieces {
-				if err := m.AllocateSub(p); err != nil {
-					t.Fatalf("AllocateSub(%v): %v", p, err)
-				}
-				for _, idx := range fm.boxCells(p) {
-					fm.alloc[idx] = true
-				}
+				fm.allocSub(t, p)
 			}
 			groups = append(groups, pieces)
 		default:
@@ -398,11 +490,8 @@ func TestFaultOracleTorus(t *testing.T) {
 			groups[gi] = groups[len(groups)-1]
 			groups = groups[:len(groups)-1]
 			for pi := len(g) - 1; pi >= 0; pi-- {
-				if err := m.ReleaseSub(g[pi]); err != nil {
+				if err := fm.releaseSub(t, g[pi]); err != nil {
 					t.Fatalf("ReleaseSub(%v): %v", g[pi], err)
-				}
-				for _, idx := range fm.boxCells(g[pi]) {
-					fm.alloc[idx] = false
 				}
 			}
 		}

@@ -2,17 +2,18 @@ package mesh
 
 // White-box cross-checks of the occupancy index. The bitboard words are
 // authoritative, so every naive reference scan below runs against the
-// busy map derived from them (busySnapshot); checkTables verifies the
-// word invariants (geometry, sealed tail bits, freeCount, on-demand
-// runs, lazy aggregates) after every random mutation, and in oracle
-// mode additionally holds the independently maintained busy/run/SAT
-// tables — updated by the demoted incremental machinery — to the same
-// derived view, which is the production-vs-oracle differential. The
-// searches must return exactly what the seed's exhaustive scans
-// returned.
+// busy map derived from them (busySnapshot). Every churn driver keeps
+// its own shadow occupancy model (faultModel, fault_test.go), updated
+// only from the operations it issues, and after every op holds the
+// mesh's derived busy map and counts to it — the production-vs-model
+// differential — then checkTables verifies the word invariants
+// (geometry, sealed tail bits, freeCount, on-demand runs, lazy
+// aggregates). The searches must return exactly what the seed's
+// exhaustive scans returned.
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -47,42 +48,18 @@ func naiveRightRun(busy []bool, w, l int) []int {
 	return out
 }
 
-// naiveSAT recomputes the far-corner-anchored summed-volume table
-// ((w+1) x (l+1) x (h+1); h == 1 is the 2D summed-area table plus a
-// zero slab).
-func naiveSAT(busy []bool, w, l, h int) []int {
-	strideY := w + 1
-	strideZ := strideY * (l + 1)
-	out := make([]int, strideZ*(h+1))
-	for z := h - 1; z >= 0; z-- {
-		for y := l - 1; y >= 0; y-- {
-			for x := w - 1; x >= 0; x-- {
-				b := 0
-				if busy[(z*l+y)*w+x] {
-					b = 1
-				}
-				i := z*strideZ + y*strideY + x
-				out[i] = b +
-					out[i+strideZ] + out[i+strideY] + out[i+1] -
-					out[i+strideZ+strideY] - out[i+strideZ+1] - out[i+strideY+1] +
-					out[i+strideZ+strideY+1]
-			}
-		}
-	}
-	return out
-}
-
 // checkTables verifies the authoritative word state against full
-// recomputes of the busy map it encodes, and in oracle mode compares
-// the independently maintained tables to the same derived view. It is
-// depth-aware: a 2D mesh exercises exactly the planar invariants, a 3D
-// one additionally the plane aggregates and (oracle) the prefix volume.
+// recomputes of the busy map it encodes. It is depth-aware: a 2D mesh
+// exercises exactly the planar invariants, a 3D one additionally the
+// plane aggregates. It checks the mesh against itself only; whether the
+// words hold the right occupancy is the shadow model's question
+// (faultModel.diff).
 func checkTables(t *testing.T, m *Mesh) {
 	t.Helper()
 	busy := busySnapshot(m)
 	wantRun := naiveRightRun(busy, m.w, m.l*m.h)
-	// Word invariants, every build: exact geometry, sealed tail bits,
-	// and on-demand run reads matching the from-scratch run recompute.
+	// Word invariants: exact geometry, sealed tail bits, and on-demand
+	// run reads matching the from-scratch run recompute.
 	if m.wpr != wordsPerRow(m.w) || len(m.freeW) != m.rows()*m.wpr {
 		t.Fatalf("bitboard geometry wpr=%d len=%d, want %d words x %d rows",
 			m.wpr, len(m.freeW), wordsPerRow(m.w), m.rows())
@@ -98,28 +75,6 @@ func checkTables(t *testing.T, m *Mesh) {
 		for b := m.w; b < m.wpr*64; b++ {
 			if words[b>>6]>>uint(b&63)&1 == 1 {
 				t.Fatalf("freeW tail bit %d of row %d set\n%s", b, r, m)
-			}
-		}
-	}
-	if m.oracle {
-		// Oracle differential: the demoted tables are maintained by the
-		// old per-mutation machinery; they must agree with the busy map
-		// the words encode, run for run and prefix for prefix.
-		m.drainSAT()
-		for i := range busy {
-			if m.busy[i] != busy[i] {
-				t.Fatalf("oracle busy[%v] = %v disagrees with words\n%s",
-					m.CoordOf(i), m.busy[i], m)
-			}
-			if m.rightRun[i] != wantRun[i] {
-				t.Fatalf("oracle rightRun[%v] = %d, recompute says %d\n%s",
-					m.CoordOf(i), m.rightRun[i], wantRun[i], m)
-			}
-		}
-		wantSAT := naiveSAT(busy, m.w, m.l, m.h)
-		for i := range wantSAT {
-			if m.sat[i] != wantSAT[i] {
-				t.Fatalf("oracle sat[%d] = %d, recompute says %d\n%s", i, m.sat[i], wantSAT[i], m)
 			}
 		}
 	}
@@ -714,13 +669,14 @@ func checkSplitWrap(t *testing.T, m *Mesh, s Submesh) {
 }
 
 // TestTorusOracleRectOps drives random possibly-seam-crossing
-// allocate/release sequences on a torus, verifying the planar index
-// invariants (unchanged by topology) and the wrap-aware queries and
-// searches against naive scans after every step.
+// allocate/release sequences on a torus, holding the mesh to its shadow
+// model and the planar index invariants (unchanged by topology) after
+// every step, and the wrap-aware queries and searches to naive scans
+// periodically.
 func TestTorusOracleRectOps(t *testing.T) {
 	rng := rand.New(rand.NewSource(53))
 	m := NewTorus(16, 22)
-	m.EnableOracle()
+	fm := newFaultModel(m)
 	var live []Submesh // planar pieces of committed placements
 	for step := 0; step < 1200; step++ {
 		switch op := rng.Intn(10); {
@@ -733,9 +689,7 @@ func TestTorusOracleRectOps(t *testing.T) {
 			}
 			if free {
 				for _, p := range m.SplitWrap(s) {
-					if err := m.AllocateSub(p); err != nil {
-						t.Fatalf("AllocateSub(%v) of free piece: %v", p, err)
-					}
+					fm.allocSub(t, p)
 					live = append(live, p)
 				}
 			}
@@ -744,9 +698,7 @@ func TestTorusOracleRectOps(t *testing.T) {
 				continue
 			}
 			k := rng.Intn(len(live))
-			if err := m.ReleaseSub(live[k]); err != nil {
-				t.Fatalf("ReleaseSub(%v): %v", live[k], err)
-			}
+			fm.releaseSub(t, live[k])
 			live[k] = live[len(live)-1]
 			live = live[:len(live)-1]
 		case op < 9: // clone must preserve the topology
@@ -755,13 +707,16 @@ func TestTorusOracleRectOps(t *testing.T) {
 				t.Fatal("clone lost torus topology")
 			}
 			checkTables(t, c)
+			if err := fm.diff(c); err != nil {
+				t.Fatalf("clone: %v", err)
+			}
 		default:
 			if rng.Intn(20) == 0 {
-				m.Reset()
+				fm.reset()
 				live = live[:0]
 			}
 		}
-		checkTables(t, m)
+		fm.verify(t)
 		if step%25 == 0 {
 			checkTorusQueries(t, m, rng)
 		}
@@ -769,57 +724,51 @@ func TestTorusOracleRectOps(t *testing.T) {
 }
 
 // TestIndexOracleRectOps drives random sub-mesh allocate/release
-// sequences, verifying the incremental tables and search results after
-// every step — including failed operations, which must not disturb the
-// index.
+// sequences against the shadow model, verifying the mesh, its index and
+// the search results after every step — including failed operations,
+// which must not disturb the index.
 func TestIndexOracleRectOps(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	m := New(16, 22)
-	m.EnableOracle()
+	fm := newFaultModel(m)
 	var live []Submesh
 	for step := 0; step < 2500; step++ {
 		switch op := rng.Intn(10); {
 		case op < 4: // allocate a random rectangle (may overlap: error path)
 			x, y := rng.Intn(m.w), rng.Intn(m.l)
 			s := SubAt(x, y, 1+rng.Intn(m.w-x), 1+rng.Intn(m.l-y))
-			if err := m.AllocateSub(s); err == nil {
+			if fm.allocSub(t, s) == nil {
 				live = append(live, s)
-			} else if m.SubFree(s) {
-				t.Fatalf("AllocateSub(%v) failed on free rect: %v", s, err)
 			}
 		case op < 7: // release a random live rectangle
 			if len(live) == 0 {
 				continue
 			}
 			k := rng.Intn(len(live))
-			if err := m.ReleaseSub(live[k]); err != nil {
-				t.Fatalf("ReleaseSub(%v): %v", live[k], err)
-			}
+			fm.releaseSub(t, live[k])
 			live[k] = live[len(live)-1]
 			live = live[:len(live)-1]
-		case op < 8: // doomed ops: out of bounds, double release
-			if err := m.AllocateSub(Sub(m.w-2, m.l-2, m.w+1, m.l+1)); err == nil {
-				t.Fatal("out-of-bounds AllocateSub succeeded")
-			}
+		case op < 8: // doomed ops: out of bounds, double allocation
+			fm.allocSub(t, Sub(m.w-2, m.l-2, m.w+1, m.l+1))
 			if len(live) > 0 {
-				s := live[rng.Intn(len(live))]
-				if err := m.AllocateSub(s); err == nil {
-					t.Fatalf("double AllocateSub(%v) succeeded", s)
-				}
+				fm.allocSub(t, live[rng.Intn(len(live))])
 			}
 		case op < 9: // Reset once in a while
 			if rng.Intn(20) == 0 {
-				m.Reset()
+				fm.reset()
 				live = live[:0]
 			}
 		default: // clone must be independent and identical
 			c := m.Clone()
 			checkTables(t, c)
-			if c.String() != m.String() || c.FreeCount() != m.FreeCount() {
-				t.Fatal("clone differs from original")
+			if err := fm.diff(c); err != nil {
+				t.Fatalf("clone: %v", err)
+			}
+			if c.String() != m.String() {
+				t.Fatal("clone renders differently from the original")
 			}
 		}
-		checkTables(t, m)
+		fm.verify(t)
 		if step%25 == 0 {
 			checkQueries(t, m, rng)
 		}
@@ -827,97 +776,129 @@ func TestIndexOracleRectOps(t *testing.T) {
 }
 
 // TestIndexOracleCellOps drives random scattered (per-processor)
-// allocate/release sequences, covering the bulk-rebuild fallback and
-// the per-cell incremental path.
+// allocate/release sequences against the shadow model, covering the
+// per-cell incremental path and the side-effect-free error paths.
 func TestIndexOracleCellOps(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	m := New(11, 13) // odd sides: no alignment accidents
-	m.EnableOracle()
+	fm := newFaultModel(m)
+	isFree := func(i int) bool { return !fm.busy(i) }
 	for step := 0; step < 1500; step++ {
 		if rng.Intn(2) == 0 {
-			free := m.FreeNodes()
+			free := fm.cells(isFree)
 			if len(free) > 0 {
 				rng.Shuffle(len(free), func(i, j int) { free[i], free[j] = free[j], free[i] })
-				n := 1 + rng.Intn(len(free))
-				if err := m.Allocate(free[:n]); err != nil {
-					t.Fatalf("Allocate(%d free nodes): %v", n, err)
-				}
+				fm.allocate(t, free[:1+rng.Intn(len(free))])
 			}
 		} else {
-			var busyNodes []Coord
-			for i, b := range busySnapshot(m) {
-				if b {
-					busyNodes = append(busyNodes, m.CoordOf(i))
-				}
-			}
+			busyNodes := fm.cells(fm.busy)
 			if len(busyNodes) > 0 {
 				rng.Shuffle(len(busyNodes), func(i, j int) {
 					busyNodes[i], busyNodes[j] = busyNodes[j], busyNodes[i]
 				})
-				n := 1 + rng.Intn(len(busyNodes))
-				if err := m.Release(busyNodes[:n]); err != nil {
-					t.Fatalf("Release(%d busy nodes): %v", n, err)
-				}
+				fm.release(t, busyNodes[:1+rng.Intn(len(busyNodes))])
 			}
 		}
-		// Failed scattered ops must leave the index untouched.
-		if m.BusyCount() > 0 {
-			var c Coord
-			for i, b := range busySnapshot(m) {
-				if b {
-					c = m.CoordOf(i)
-					break
-				}
-			}
-			if err := m.Allocate([]Coord{c}); err == nil {
-				t.Fatalf("Allocate(busy %v) succeeded", c)
-			}
+		// Doomed scattered ops — a busy cell allocated, a free one
+		// released, duplicates in one request — must leave the index
+		// untouched; the model demands each failure.
+		if busy := fm.cells(fm.busy); len(busy) > 0 {
+			fm.allocate(t, busy[:1])
+			fm.release(t, []Coord{busy[0], busy[0]})
 		}
-		if m.FreeCount() > 0 {
-			c := m.FreeNodes()[0]
-			if err := m.Release([]Coord{c}); err == nil {
-				t.Fatalf("Release(free %v) succeeded", c)
-			}
-			if err := m.Allocate([]Coord{c, c}); err == nil {
-				t.Fatal("duplicate Allocate succeeded")
-			}
+		if free := fm.cells(isFree); len(free) > 0 {
+			fm.release(t, free[:1])
+			fm.allocate(t, []Coord{free[0], free[0]})
 		}
-		if m.BusyCount() > 0 {
-			var c Coord
-			for i, b := range busySnapshot(m) {
-				if b {
-					c = m.CoordOf(i)
-					break
-				}
-			}
-			if err := m.Release([]Coord{c, c}); err == nil {
-				t.Fatal("duplicate Release succeeded")
-			}
-		}
-		checkTables(t, m)
+		fm.verify(t)
 		if step%25 == 0 {
 			checkQueries(t, m, rng)
 		}
 	}
 }
 
-// TestIndexJournalBursts mutates without any intervening rectangle
-// query, so the SAT journal accumulates: bursts below the fold
-// threshold exercise per-delta folding, longer ones the bulk recompute
-// and the overflow cap.
-func TestIndexJournalBursts(t *testing.T) {
+// TestShadowModelCatchesCorruption pins that the shadow differential
+// bites: occupancy corrupted behind the API — a bitboard bit flipped
+// directly, the free count skewed, or a self-consistent flip of the
+// wrong rectangle with the count adjusted to match, which no internal
+// invariant can see — must each be reported by faultModel.diff, and
+// the mesh must compare clean again once the corruption is undone.
+func TestShadowModelCatchesCorruption(t *testing.T) {
+	m := New(16, 22)
+	fm := newFaultModel(m)
+	fm.allocSub(t, SubAt(2, 3, 5, 4))
+	fm.allocate(t, []Coord{{10, 10, 0}, {11, 12, 0}})
+	fm.fail(t, Coord{X: 4, Y: 4})  // overlay on the live rectangle
+	fm.fail(t, Coord{X: 15, Y: 0}) // bare pin
+	if err := fm.diff(m); err != nil {
+		t.Fatalf("clean mesh reported: %v", err)
+	}
+	corruptions := []struct {
+		name       string
+		do, undo   func()
+		wantSubstr string
+	}{
+		{
+			name:       "free bit set under an allocation",
+			do:         func() { m.setFreeBit(m.rowIdx(3, 0), 2) },
+			undo:       func() { m.clearFreeBit(m.rowIdx(3, 0), 2) },
+			wantSubstr: "busy(",
+		},
+		{
+			name:       "free bit cleared on a free cell",
+			do:         func() { m.clearFreeBit(m.rowIdx(20, 0), 7) },
+			undo:       func() { m.setFreeBit(m.rowIdx(20, 0), 7) },
+			wantSubstr: "busy(",
+		},
+		{
+			name:       "freeCount skewed",
+			do:         func() { m.freeCount++ },
+			undo:       func() { m.freeCount-- },
+			wantSubstr: "counts",
+		},
+		{
+			name: "wrong rectangle flipped, count kept consistent",
+			do: func() {
+				m.flipBox(8, 15, 0, 9, 16, 0, true)
+				m.freeCount -= 4
+			},
+			undo: func() {
+				m.flipBox(8, 15, 0, 9, 16, 0, false)
+				m.freeCount += 4
+			},
+			wantSubstr: "busy(",
+		},
+	}
+	for _, c := range corruptions {
+		c.do()
+		err := fm.diff(m)
+		if err == nil {
+			t.Fatalf("%s: shadow comparison reported nothing\n%s", c.name, m)
+		}
+		if !strings.Contains(err.Error(), c.wantSubstr) {
+			t.Fatalf("%s: reported %q, want a %q mismatch", c.name, err, c.wantSubstr)
+		}
+		c.undo()
+		if err := fm.diff(m); err != nil {
+			t.Fatalf("%s: still reported after undo: %v", c.name, err)
+		}
+	}
+}
+
+// TestIndexMutationBursts mutates without any intervening search, so
+// stale row and plane aggregates accumulate unrepaired across bursts of
+// every length; the shadow model and checkTables (which repairs and
+// re-derives every aggregate) must agree with the words afterwards.
+func TestIndexMutationBursts(t *testing.T) {
 	rng := rand.New(rand.NewSource(47))
-	cap := New(16, 22).satCap
-	for _, burst := range []int{1, 2, 3, 4, 5, 9, cap - 1, cap, cap + 1, 3 * cap} {
+	for _, burst := range []int{1, 2, 3, 4, 5, 9, 64, 88, 89, 264} {
 		m := New(16, 22)
-		m.EnableOracle()
+		fm := newFaultModel(m)
 		var live []Submesh
 		for ops := 0; ops < burst; {
 			if len(live) > 6 && rng.Intn(2) == 0 {
 				k := rng.Intn(len(live))
-				if err := m.ReleaseSub(live[k]); err != nil {
-					t.Fatal(err)
-				}
+				fm.releaseSub(t, live[k])
 				live[k] = live[len(live)-1]
 				live = live[:len(live)-1]
 				ops++
@@ -925,31 +906,29 @@ func TestIndexJournalBursts(t *testing.T) {
 			}
 			x, y := rng.Intn(m.w), rng.Intn(m.l)
 			s := SubAt(x, y, 1+rng.Intn(4), 1+rng.Intn(4))
-			if m.InBounds(s.End()) && m.AllocateSub(s) == nil {
+			if m.InBounds(s.End()) && fm.allocSub(t, s) == nil {
 				live = append(live, s)
 				ops++
 			}
 		}
-		if got := len(m.pending); got > m.satCap {
-			t.Fatalf("burst %d: journal length %d exceeds cap", burst, got)
-		}
-		checkTables(t, m)
+		fm.verify(t)
 	}
 }
 
 // FuzzIndexOps interprets the fuzz input as a mutation program over a
-// small mesh and checks the index invariants after every instruction.
-// The same program runs on a planar mesh, a torus mesh and a 3D mesh:
-// the mutation paths are topology- and dimension-independent, so all
-// three must stay sound, and the torus and volumetric queries are
-// cross-checked against their naive scans at the end. The 3D mesh
-// receives the planar rectangle extruded to a cuboid whose z extent is
-// derived from the op byte, so in-bounds, out-of-bounds and
-// overlapping cuboids all occur. Ops with bit 0x40 set are fault ops —
-// Fail (or Recover, bit 0x80) of one cell — checked against their
-// contract by checkFail/checkRecover (fault_test.go), so the fuzzer
-// interleaves failures and recoveries with the allocation churn and
-// releases that land on pinned cells exercise the overlay paths.
+// small mesh and, after every instruction, holds the mesh to its shadow
+// model and checks the index invariants. The same program runs on a
+// planar mesh, a torus mesh and a 3D mesh: the mutation paths are
+// topology- and dimension-independent, so all three must stay sound,
+// and the torus and volumetric queries are cross-checked against their
+// naive scans at the end. The 3D mesh receives the planar rectangle
+// extruded to a cuboid whose z extent is derived from the op byte, so
+// in-bounds, out-of-bounds and overlapping cuboids all occur. Ops with
+// bit 0x40 set are fault ops — Fail (or Recover, bit 0x80) of one cell
+// — checked against their contract by checkFail/checkRecover
+// (fault_test.go), so the fuzzer interleaves failures and recoveries
+// with the allocation churn and releases that land on pinned cells
+// exercise the overlay paths.
 func FuzzIndexOps(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 2, 2, 1, 0, 0, 0x80, 1, 1, 3, 3})
 	f.Add([]byte{0, 1, 1, 3, 4, 0, 0, 0, 7, 8, 0x80, 1, 1, 3, 4})
@@ -957,12 +936,9 @@ func FuzzIndexOps(f *testing.F) {
 	f.Add([]byte{0x41, 3, 3, 0, 0, 0, 1, 1, 5, 5, 0x80, 1, 1, 5, 5, 0xc1, 3, 3, 0, 0})
 	f.Add([]byte{0x42, 2, 2, 0, 0, 0x43, 5, 5, 0, 0, 0, 0, 0, 7, 8, 0x80, 0, 0, 7, 8})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		m := New(8, 9)
-		tor := NewTorus(8, 9)
-		vol := New3D(8, 9, 4)
-		m.EnableOracle()
-		tor.EnableOracle()
-		vol.EnableOracle()
+		m := newFaultModel(New(8, 9))
+		tor := newFaultModel(NewTorus(8, 9))
+		vol := newFaultModel(New3D(8, 9, 4))
 		rng := rand.New(rand.NewSource(7))
 		for len(data) >= 5 {
 			op, x1, y1, x2, y2 := data[0], data[1], data[2], data[3], data[4]
@@ -977,29 +953,30 @@ func FuzzIndexOps(f *testing.F) {
 				c3 := c
 				c3.Z = s3.Z1
 				if op&0x80 == 0 {
-					checkFail(t, m, c)
-					checkFail(t, tor, c)
-					checkFail(t, vol, c3)
+					m.fail(t, c)
+					tor.fail(t, c)
+					vol.fail(t, c3)
 				} else {
-					checkRecover(t, m, c)
-					checkRecover(t, tor, c)
-					checkRecover(t, vol, c3)
+					m.recover(t, c)
+					tor.recover(t, c)
+					vol.recover(t, c3)
 				}
 			case op&0x80 == 0:
-				m.AllocateSub(s) // errors are fine; state must stay sound
-				tor.AllocateSub(s)
-				vol.AllocateSub(s3)
+				// Errors are fine; the model decides which ones are due.
+				m.allocSub(t, s)
+				tor.allocSub(t, s)
+				vol.allocSub(t, s3)
 			default:
-				m.ReleaseSub(s)
-				tor.ReleaseSub(s)
-				vol.ReleaseSub(s3)
+				m.releaseSub(t, s)
+				tor.releaseSub(t, s)
+				vol.releaseSub(t, s3)
 			}
-			checkTables(t, m)
-			checkTables(t, tor)
-			checkTables(t, vol)
+			m.verify(t)
+			tor.verify(t)
+			vol.verify(t)
 		}
-		checkQueries(t, m, rng)
-		checkTorusQueries(t, tor, rng)
-		checkQueries3D(t, vol, rng)
+		checkQueries(t, m.m, rng)
+		checkTorusQueries(t, tor.m, rng)
+		checkQueries3D(t, vol.m, rng)
 	})
 }

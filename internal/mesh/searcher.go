@@ -1,14 +1,12 @@
 package mesh
 
-import "runtime"
-
 // This file defines the search-executor layer (PR 5): every allocation
 // strategy runs its candidate scans through a Searcher instead of
 // calling the Mesh search methods directly. Two executors implement the
 // interface — Serial, a thin binding to the existing scans, and Sharded
-// (sharded.go), which partitions the (z, y) base space into contiguous
-// stripes and scans them on a pool of workers. The two are
-// result-identical by construction (docs/occupancy-index.md §8), so a
+// (sharded.go), which partitions the BestFit scan's (z, y) base space
+// into contiguous stripes and scans them on a pool of workers. The two
+// are result-identical by construction (docs/occupancy-index.md §8), so a
 // strategy's placements never depend on which executor — or how many
 // workers — ran its searches.
 
@@ -76,16 +74,6 @@ func (s Serial) Workers() int { return 1 }
 
 // Close implements Searcher.
 func (s Serial) Close() {}
-
-// DefaultWorkers resolves the conventional "0 = GOMAXPROCS-aware"
-// worker-count knob the command-line tools expose: non-positive values
-// select one worker per available core, anything else passes through.
-func DefaultWorkers(n int) int {
-	if n > 0 {
-		return n
-	}
-	return runtime.GOMAXPROCS(0)
-}
 
 // SlideFit returns the first entirely free w x l x h frame in the
 // frame-sliding stride pattern (Chuang & Tzeng): candidate bases step by

@@ -3,19 +3,20 @@ package mesh
 import (
 	"math/bits"
 	"sync"
-	"sync/atomic"
 )
 
 // This file implements the sharded search executor (PR 5): the
-// candidate scans behind FirstFit/BestFit/LargestFree/SlideFit are
-// embarrassingly parallel across base rows once the reduction is made
-// deterministic, so Sharded partitions the (z, y) base space into
-// contiguous stripes, scans each stripe on a worker with per-worker
-// scratch, and reduces the stripe-local winners in stripe order with
-// the exact serial tie-break rules. Placements are therefore
-// bit-identical to the serial scans — the argument, stripe by stripe
-// and search by search, lives in docs/occupancy-index.md §8. The load
-// rules:
+// BestFit scan is embarrassingly parallel across base rows once the
+// reduction is made deterministic, so Sharded partitions the (z, y)
+// base space into contiguous stripes, scans each stripe on a worker
+// with per-worker scratch, and reduces the stripe-local winners in
+// stripe order with the exact serial tie-break. Placements are
+// therefore bit-identical to the serial scan — the argument lives in
+// docs/occupancy-index.md §8. BestFit is the only search that scores
+// every fitting base. The others stop at the first hit before a
+// fan-out's wake-up could pay for itself, or (LargestFree's sweep) did
+// not win end to end when striped, so Sharded runs them on the calling
+// goroutine. The load rules:
 //
 //   - Workers are strictly read-only on the mesh. The serial scans
 //     lazily repair stale aggregates (rowMaxRescan, planeMaxRescan)
@@ -26,16 +27,14 @@ import (
 //     the serial scan skips. Occupancy itself is read straight off the
 //     bitboard words, which no read-only scan ever mutates.
 //
-//   - The owner goroutine runs stripe 0 inline and everything that
-//     mutates (aggregate repairs, histogram memoization, refuted-shape
-//     notes) strictly between fan-outs, so no mutation is ever
-//     concurrent with a worker scan.
+//   - The owner goroutine runs stripe 0 inline and every mutation
+//     strictly between fan-outs, so no mutation is ever concurrent with
+//     a worker scan.
 //
-//   - Per-worker scratch (candidate slots, histogram stacks, projection
-//     buffers) is lazily sized and reused forever, and the fan-out
-//     path uses only pre-allocated channels and a WaitGroup, keeping
-//     steady-state searches at 0 allocs/call like their serial
-//     counterparts.
+//   - Per-worker scratch (fit masks, the torus seam band) is lazily
+//     sized and reused forever, and the fan-out path uses only
+//     pre-allocated channels and a WaitGroup, keeping steady-state
+//     searches at 0 allocs/call like their serial counterparts.
 
 // shardMinCells gates the fan-out: meshes below this size finish a
 // serial scan in the time a wake-up costs, so the executor runs them
@@ -43,23 +42,11 @@ import (
 // bit-identical — and only steers where the work runs.
 const shardMinCells = 1024
 
-// Stripe-scan operation selectors (shardReq.kind).
-const (
-	opFirstFit = iota
-	opBestFit
-	opSweep2D
-	opSweep3D
-	opSlide
-)
-
 // shardReq is the current fan-out's request, written by the owner
 // before the workers wake (the channel send orders it before every
 // worker read).
 type shardReq struct {
-	kind       int
-	w, l, h    int
-	maxL, maxH int
-	k          int // stripes in flight
+	w, l, h int
 }
 
 // shardWorker is one worker's stripe assignment, result slots and
@@ -75,17 +62,9 @@ type shardWorker struct {
 	found bool
 	score int
 
-	// Reusable scratch: per-height sweep records, the monotonic stack,
-	// column heights, the 3D MW(d, l) table, the word-AND projection
-	// and the bitboard masks (window fit mask, torus window AND,
-	// doubled seam band) — per worker, so concurrent stripes never
-	// share a buffer.
-	cand    []int
-	heights []int
-	stackS  []int
-	stackH  []int
-	mw3     []int
-	proj    []uint64
+	// Reusable scratch: the bitboard masks (window fit mask, torus
+	// window AND, doubled seam band) — per worker, so concurrent
+	// stripes never share a buffer.
 	winMask []uint64
 	rowAnd  []uint64
 	band    []uint64
@@ -102,9 +81,8 @@ type Sharded struct {
 	n       int
 	workers []shardWorker
 
-	req       shardReq
-	wg        sync.WaitGroup
-	minStripe atomic.Int32 // earliest stripe with a first-fit hit
+	req shardReq
+	wg  sync.WaitGroup
 
 	quit    chan struct{}
 	started bool
@@ -164,7 +142,7 @@ func (s *Sharded) workerLoop(id int) {
 		case <-s.quit:
 			return
 		case <-w.wake:
-			s.runStripe(id)
+			s.bestFitStripe(id)
 			s.wg.Done()
 		}
 	}
@@ -179,7 +157,7 @@ func (s *Sharded) fanout(k int) {
 	for i := 1; i < k; i++ {
 		s.workers[i].wake <- struct{}{}
 	}
-	s.runStripe(0)
+	s.bestFitStripe(0)
 	s.wg.Wait()
 }
 
@@ -230,65 +208,11 @@ func (s *Sharded) prepare() {
 	}
 }
 
-// publish records that stripe id found a first-fit hit, advancing the
-// shared minimum so later stripes can abandon their scans. Only a
-// strictly earlier stripe may displace a recorded one, so the winning
-// stripe never aborts and the reduce is deterministic.
-func (s *Sharded) publish(id int) {
-	for {
-		cur := s.minStripe.Load()
-		if int32(id) >= cur {
-			return
-		}
-		if s.minStripe.CompareAndSwap(cur, int32(id)) {
-			return
-		}
-	}
-}
-
-// runStripe dispatches one stripe of the current request on the
-// goroutine that owns worker slot id.
-func (s *Sharded) runStripe(id int) {
-	switch s.req.kind {
-	case opFirstFit:
-		s.firstFitStripe(id)
-	case opBestFit:
-		s.bestFitStripe(id)
-	case opSweep2D:
-		s.sweepStripe(id)
-	case opSweep3D:
-		s.sweepVolumeStripe(id)
-	case opSlide:
-		s.slideStripe(id)
-	}
-}
-
-// FirstFit implements Searcher: the sharded Mesh.FirstFit3D. Stripes
-// scan concurrently, later stripes abandon once an earlier one hits,
-// and the earliest stripe's hit — its stripe-local first — is the
-// global (z, y, x)-first base, exactly the serial result.
-func (s *Sharded) FirstFit(w, l, h int) (Submesh, bool) {
-	m := s.m
-	if w <= 0 || l <= 0 || h <= 0 || w > m.w || l > m.l || h > m.h {
-		return Submesh{}, false
-	}
-	B := s.baseRows(l, h)
-	k := s.shardCount(B)
-	if k < 2 {
-		return m.FirstFit3D(w, l, h)
-	}
-	s.prepare()
-	s.req = shardReq{kind: opFirstFit, w: w, l: l, h: h, k: k}
-	s.assign(B, k)
-	s.minStripe.Store(int32(k))
-	s.fanout(k)
-	for i := 0; i < k; i++ {
-		if s.workers[i].found {
-			return s.workers[i].sub, true
-		}
-	}
-	return Submesh{}, false
-}
+// FirstFit implements Searcher: Mesh.FirstFit3D on the calling
+// goroutine. The row aggregates settle a miss, and the fit mask a hit,
+// in less time than a fan-out's wake-up, so a first-fit scan never
+// pays for striping.
+func (s *Sharded) FirstFit(w, l, h int) (Submesh, bool) { return s.m.FirstFit3D(w, l, h) }
 
 // BestFit implements Searcher: the sharded Mesh.BestFit3D. Every
 // stripe keeps its first maximal-score candidate in scan order; the
@@ -305,7 +229,7 @@ func (s *Sharded) BestFit(w, l, h int) (Submesh, bool) {
 		return m.BestFit3D(w, l, h)
 	}
 	s.prepare()
-	s.req = shardReq{kind: opBestFit, w: w, l: l, h: h, k: k}
+	s.req = shardReq{w: w, l: l, h: h}
 	s.assign(B, k)
 	s.fanout(k)
 	best, bestScore, found := Submesh{}, -1, false
@@ -318,60 +242,17 @@ func (s *Sharded) BestFit(w, l, h int) (Submesh, bool) {
 	return best, found
 }
 
-// LargestFree implements Searcher: the sharded Mesh.LargestFree3D. The
-// probe and location phases run their FirstFit searches through the
-// executor, and the O(W·L) sweeps fan out — per band-row stripe on a
-// planar or torus mesh (sweep2D), per base plane on a volume
-// (sweepVolume) — with the per-height/per-shape records max-reduced
-// before the serial fold and tie-break run unchanged on the owner.
+// LargestFree implements Searcher: Mesh.LargestFree3D on the calling
+// goroutine. Its probe phase is a handful of first-fit searches, and
+// striping its O(W·L) sweep did not pay end to end.
 func (s *Sharded) LargestFree(maxW, maxL, maxH, maxVol int) (Submesh, bool) {
-	m := s.m
-	if maxH <= 0 || maxVol <= 0 || maxW <= 0 || maxL <= 0 {
-		return Submesh{}, false
-	}
-	if maxW > m.w {
-		maxW = m.w
-	}
-	if maxL > m.l {
-		maxL = m.l
-	}
-	if m.h == 1 {
-		return m.largestFreeHist(maxW, maxL, maxVol, s)
-	}
-	if maxH > m.h {
-		maxH = m.h
-	}
-	return m.largestFree3D(maxW, maxL, maxH, maxVol, s)
+	return s.m.LargestFree3D(maxW, maxL, maxH, maxVol)
 }
 
-// FrameSlide implements Searcher: the sharded Mesh.SlideFit. Frame
-// rows are striped like first-fit base rows and reduced to the
-// earliest frame in stride order.
-func (s *Sharded) FrameSlide(w, l, h int) (Submesh, bool) {
-	m := s.m
-	if w <= 0 || l <= 0 || h <= 0 || w > m.w || l > m.l || h > m.h {
-		return Submesh{}, false
-	}
-	ymax := m.l - l
-	if m.torus {
-		ymax = m.l - 1
-	}
-	B := ((m.h-h)/h + 1) * (ymax/l + 1)
-	k := s.shardCount(B)
-	if k < 2 {
-		return m.SlideFit(w, l, h)
-	}
-	s.req = shardReq{kind: opSlide, w: w, l: l, h: h, k: k}
-	s.assign(B, k)
-	s.minStripe.Store(int32(k))
-	s.fanout(k)
-	for i := 0; i < k; i++ {
-		if s.workers[i].found {
-			return s.workers[i].sub, true
-		}
-	}
-	return Submesh{}, false
-}
+// FrameSlide implements Searcher: Mesh.SlideFit on the calling
+// goroutine, for the same reason as FirstFit — a stride-pattern probe
+// finishes before a fan-out could.
+func (s *Sharded) FrameSlide(w, l, h int) (Submesh, bool) { return s.m.SlideFit(w, l, h) }
 
 // windowRowBlock is the repair-free blockingWindowRow: the highest
 // window row whose stored aggregate rules out width w across the
@@ -415,111 +296,6 @@ func (wk *shardWorker) torusBaseMask(m *Mesh, y, w, l int) []uint64 {
 	m.doubleRowInto(band, rowAnd)
 	fitMask(band, w)
 	return band
-}
-
-// firstFitStripe scans base rows [b0, b1) for the stripe-local first
-// free window, publishing a hit so later stripes can abandon. A stripe
-// aborts only when a strictly earlier stripe has already hit, so the
-// reduce's winner always completed its scan. Surviving windows are
-// answered by a bitboard fit mask built in per-worker scratch, exactly
-// the serial CandidatesRow/firstFit3D machinery.
-func (s *Sharded) firstFitStripe(id int) {
-	wk := &s.workers[id]
-	wk.found = false
-	m, q := s.m, &s.req
-	switch {
-	case m.torus:
-		for y := wk.b0; y < wk.b1; {
-			if s.minStripe.Load() < int32(id) {
-				return
-			}
-			bad := -1
-			for i := q.l - 1; i >= 0; i-- {
-				yy := y + i
-				if yy >= m.l {
-					yy -= m.l
-				}
-				if m.looseRowBound(yy) < q.w {
-					bad = yy
-					break
-				}
-			}
-			switch {
-			case bad < 0:
-				if band := wk.torusBaseMask(m, y, q.w, q.l); band != nil {
-					if x := firstMaskBit(band, m.w); x >= 0 {
-						wk.sub, wk.found = SubAt(x, y, q.w, q.l), true
-						s.publish(id)
-						return
-					}
-				}
-				y++
-			case bad >= y:
-				y = bad + 1 // every base in [y, bad] contains row bad
-			default:
-				y++ // blocker wraps before the base; retry the next base
-			}
-		}
-	case m.h == 1:
-		// The serial nextWindowRow window amortization, repair-free: a
-		// fresh window checks all l rows top-down; once a window was
-		// clean, only the newly entered bottom row needs checking.
-		mask := sizedWordScratch(&wk.winMask, m.wpr)
-		fresh := true
-		for y := wk.b0; y < wk.b1; {
-			if s.minStripe.Load() < int32(id) {
-				return
-			}
-			if fresh {
-				if bad := m.windowRowBlock(y, 0, q.w, q.l, 1); bad >= 0 {
-					y = bad + 1
-					continue
-				}
-			} else if m.rowMax[y+q.l-1] < q.w {
-				y += q.l
-				fresh = true
-				continue
-			}
-			fresh = false
-			if m.planarFitMaskInto(mask, y, 0, q.w, q.l, 1) {
-				if x := firstMaskBit(mask, m.w); x >= 0 {
-					wk.sub, wk.found = SubAt(x, y, q.w, q.l), true
-					s.publish(id)
-					return
-				}
-			}
-			y++
-		}
-	default:
-		mask := sizedWordScratch(&wk.winMask, m.wpr)
-		ny := m.l - q.l + 1
-		for b := wk.b0; b < wk.b1; {
-			if s.minStripe.Load() < int32(id) {
-				return
-			}
-			z, y := b/ny, b%ny
-			if zBad := m.planeBlock(z, q.w, q.h); zBad >= 0 {
-				b = (zBad + 1) * ny
-				continue
-			}
-			if bad := m.windowRowBlock(y, z, q.w, q.l, q.h); bad >= 0 {
-				if bad+1 >= ny {
-					b = (z + 1) * ny
-				} else {
-					b = z*ny + bad + 1
-				}
-				continue
-			}
-			if m.planarFitMaskInto(mask, y, z, q.w, q.l, q.h) {
-				if x := firstMaskBit(mask, m.w); x >= 0 {
-					wk.sub, wk.found = SubAt3D(x, y, z, q.w, q.l, q.h), true
-					s.publish(id)
-					return
-				}
-			}
-			b++
-		}
-	}
 }
 
 // bestFitStripe scans base rows [b0, b1) keeping the stripe's first
@@ -633,218 +409,4 @@ func (s *Sharded) bestFitStripe(id int) {
 			b++
 		}
 	}
-}
-
-// slideStripe probes the stride-pattern frames of frame rows [b0, b1)
-// for the stripe-local first free frame, with the same early-abort
-// protocol as firstFitStripe.
-func (s *Sharded) slideStripe(id int) {
-	wk := &s.workers[id]
-	wk.found = false
-	m, q := s.m, &s.req
-	ymax, xmax := m.l-q.l, m.w-q.w
-	if m.torus {
-		ymax, xmax = m.l-1, m.w-1
-	}
-	nfy := ymax/q.l + 1
-	for b := wk.b0; b < wk.b1; b++ {
-		if s.minStripe.Load() < int32(id) {
-			return
-		}
-		z, y := (b/nfy)*q.h, (b%nfy)*q.l
-		for x := 0; x <= xmax; x += q.w {
-			sub := SubAt3D(x, y, z, q.w, q.l, q.h)
-			if m.SubFree(sub) {
-				wk.sub, wk.found = sub, true
-				s.publish(id)
-				return
-			}
-		}
-	}
-}
-
-// sweep2D runs the maximal-rectangle sweep behind the planar (and
-// torus) LargestFree across band-row stripes and reduces the
-// per-height records: each stripe seeds its column heights from the
-// min(maxL, b0) band rows above it — heights are capped at maxL, so
-// that lookback reproduces them exactly — and records the maximal
-// rectangles whose bottom edge lies in its stripe. MW is a max over
-// bottom rows, so the element-wise max of the stripe records followed
-// by the serial suffix-max is exactly the serial table, which is then
-// cached on the mesh with the same release-epoch memoization.
-func (s *Sharded) sweep2D(maxL int) []int {
-	m := s.m
-	rows := m.l
-	if m.torus {
-		rows = 2*m.l - 1
-	}
-	k := s.shardCount(rows)
-	if k < 2 {
-		return m.maxWidthByHeight(maxL)
-	}
-	s.req = shardReq{kind: opSweep2D, maxL: maxL, k: k}
-	s.assign(rows, k)
-	s.fanout(k)
-	cand := sizedScratch(&m.hist.byH, maxL+1)
-	clear(cand)
-	for i := 0; i < k; i++ {
-		wc := s.workers[i].cand
-		for h := 1; h <= maxL; h++ {
-			if wc[h] > cand[h] {
-				cand[h] = wc[h]
-			}
-		}
-	}
-	for h := maxL - 1; h >= 1; h-- {
-		if cand[h] < cand[h+1] {
-			cand[h] = cand[h+1]
-		}
-	}
-	m.hist.sweepMaxL = maxL
-	m.hist.sweepEpoch = m.releaseEpoch
-	return cand
-}
-
-// sweepStripe is one worker's share of sweep2D: seed the heights, then
-// run the serial sweep body — including its degenerate-row shortcuts,
-// whose suppressed records recur under a later bottom row that some
-// stripe records — over band rows [b0, b1), leaving the raw per-height
-// records (no suffix-max) in the worker's cand slot. Band rows come
-// off the bitboard exactly as in the serial maxWidthByHeight: planar
-// rows verbatim, torus rows rotated into the worker's doubled seam
-// band.
-func (s *Sharded) sweepStripe(id int) {
-	wk := &s.workers[id]
-	m, q := s.m, &s.req
-	maxL := q.maxL
-	cols, rows := m.w, m.l
-	var band []uint64
-	if m.torus {
-		cols, rows = 2*m.w, 2*m.l-1
-		band = sizedWordScratch(&wk.band, wordsPerRow(cols))
-	}
-	heights := sizedScratch(&wk.heights, cols)
-	stackS := sizedScratch(&wk.stackS, cols+1)
-	stackH := sizedScratch(&wk.stackH, cols+1)
-	cand := sizedScratch(&wk.cand, maxL+1)
-	clear(cand)
-	// Seed each column height with its up-run: the consecutive free
-	// band rows ending just above the stripe, capped at maxL (the
-	// serial heights saturate there) and at the band floor. Column-wise
-	// with an early stop at the first busy cell — the sweep only runs
-	// on fragmented meshes (the probe phase settles sparse ones), so
-	// up-runs are short and the seed costs far below its O(cols·maxL)
-	// bound.
-	for x := 0; x < cols; x++ {
-		xr := x
-		if xr >= m.w {
-			xr -= m.w
-		}
-		h := 0
-		for r := wk.b0 - 1; r >= 0 && h < maxL; r-- {
-			ry := r
-			if ry >= m.l {
-				ry -= m.l
-			}
-			if !m.freeBitAt(ry, xr) {
-				break
-			}
-			h++
-		}
-		heights[x] = h
-	}
-	for r := wk.b0; r < wk.b1; r++ {
-		ry := r
-		if ry >= m.l {
-			ry -= m.l
-		}
-		// The serial sweep's degenerate-row shortcuts, verbatim: a fully
-		// busy row zeroes the heights; a row whose successor band row is
-		// fully free has every record dominated there (the successor's
-		// stripe makes them), so only the heights advance.
-		if m.rowMax[ry] == 0 {
-			clear(heights)
-			continue
-		}
-		words := m.rowWords(ry)
-		if m.torus {
-			m.doubleRowInto(band, words)
-			words = band
-		}
-		if r+1 < rows {
-			ny := r + 1
-			if ny >= m.l {
-				ny -= m.l
-			}
-			if m.rowFullyFree(ny) {
-				bumpHeightsWords(words, cols, maxL, heights)
-				continue
-			}
-		}
-		sweepRowWords(words, cols, maxL, m.w, heights, stackS, stackH, cand)
-	}
-}
-
-// sweepVolume computes the 3D search's MW(d, l) table across the pool:
-// (base plane, depth) pairs are independent sweeps, so base planes are
-// dealt round-robin to the workers and the per-shape records
-// max-reduced — MW is a max over base planes, so the reduced table is
-// exactly the serial one.
-func (s *Sharded) sweepVolume(maxL, maxH int) []int {
-	m := s.m
-	k := s.n
-	if k > m.h {
-		k = m.h
-	}
-	if k < 2 || m.Size() < shardMinCells {
-		return m.sweepVolumeSerial(maxL, maxH)
-	}
-	s.req = shardReq{kind: opSweep3D, maxL: maxL, maxH: maxH, k: k}
-	s.fanout(k)
-	mw := sizedScratch(&m.hist.mw3, (maxH+1)*(maxL+1))
-	clear(mw)
-	for i := 0; i < k; i++ {
-		wm := s.workers[i].mw3
-		for j := range mw {
-			if wm[j] > mw[j] {
-				mw[j] = wm[j]
-			}
-		}
-	}
-	return mw
-}
-
-// sweepVolumeStripe is one worker's share of sweepVolume: the base
-// planes congruent to its id modulo the stripe count, swept into its
-// local MW(d, l) table with its own projection and stack scratch —
-// the same sweepVolumeInto body the serial path runs.
-func (s *Sharded) sweepVolumeStripe(id int) {
-	wk := &s.workers[id]
-	m, q := s.m, &s.req
-	mw := sizedScratch(&wk.mw3, (q.maxH+1)*(q.maxL+1))
-	clear(mw)
-	proj := sizedWordScratch(&wk.proj, m.l*m.wpr)
-	cand := sizedScratch(&wk.cand, q.maxL+1)
-	heights := sizedScratch(&wk.heights, m.w)
-	stackS := sizedScratch(&wk.stackS, m.w+1)
-	stackH := sizedScratch(&wk.stackH, m.w+1)
-	m.sweepVolumeInto(id, q.k, q.maxL, q.maxH, mw, proj, cand, heights, stackS, stackH)
-}
-
-// ff2 routes a planar FirstFit through the executor when one is
-// driving the search (the constrained-largest probe and location
-// phases) and serially otherwise; results are identical either way.
-func ff2(m *Mesh, sh *Sharded, w, l int) (Submesh, bool) {
-	if sh != nil {
-		return sh.FirstFit(w, l, 1)
-	}
-	return m.FirstFit(w, l)
-}
-
-// ff3 is ff2 for the volumetric searches.
-func ff3(m *Mesh, sh *Sharded, w, l, h int) (Submesh, bool) {
-	if sh != nil {
-		return sh.FirstFit(w, l, h)
-	}
-	return m.firstFit3D(w, l, h)
 }

@@ -204,7 +204,7 @@ func TestShardedCloseIdempotent(t *testing.T) {
 	sh.Close()
 	sh.Close()
 	sh2 := NewSharded(New(64, 64), 2)
-	sh2.FirstFit(2, 2, 1) // starts the pool
+	sh2.BestFit(2, 2, 1) // starts the pool
 	sh2.Close()
 	sh2.Close()
 }

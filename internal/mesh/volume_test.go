@@ -256,12 +256,13 @@ func checkFitMask3D(t *testing.T, m *Mesh, y, z, w, l, h int) {
 }
 
 // TestVolumeOracleBoxOps drives random cuboid allocate/release
-// sequences on a 3D mesh, verifying the incremental tables and search
-// results after every step — including failed operations, which must
-// not disturb the index.
+// sequences on a 3D mesh against the shadow model, verifying the mesh,
+// its index and the search results after every step — including failed
+// operations, which must not disturb the index.
 func TestVolumeOracleBoxOps(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
 	m := New3D(8, 7, 5)
+	fm := newFaultModel(m)
 	var live []Submesh
 	for step := 0; step < 1500; step++ {
 		switch op := rng.Intn(10); {
@@ -269,44 +270,38 @@ func TestVolumeOracleBoxOps(t *testing.T) {
 			x, y, z := rng.Intn(m.w), rng.Intn(m.l), rng.Intn(m.h)
 			s := SubAt3D(x, y, z,
 				1+rng.Intn(m.w-x), 1+rng.Intn(m.l-y), 1+rng.Intn(m.h-z))
-			if err := m.AllocateSub(s); err == nil {
+			if fm.allocSub(t, s) == nil {
 				live = append(live, s)
-			} else if m.SubFree(s) {
-				t.Fatalf("AllocateSub(%v) failed on free cuboid: %v", s, err)
 			}
 		case op < 7: // release a random live cuboid
 			if len(live) == 0 {
 				continue
 			}
 			k := rng.Intn(len(live))
-			if err := m.ReleaseSub(live[k]); err != nil {
-				t.Fatalf("ReleaseSub(%v): %v", live[k], err)
-			}
+			fm.releaseSub(t, live[k])
 			live[k] = live[len(live)-1]
 			live = live[:len(live)-1]
 		case op < 8: // doomed ops: out of bounds, double allocation
-			if err := m.AllocateSub(Sub3D(m.w-2, m.l-2, m.h-2, m.w+1, m.l+1, m.h+1)); err == nil {
-				t.Fatal("out-of-bounds AllocateSub succeeded")
-			}
+			fm.allocSub(t, Sub3D(m.w-2, m.l-2, m.h-2, m.w+1, m.l+1, m.h+1))
 			if len(live) > 0 {
-				s := live[rng.Intn(len(live))]
-				if err := m.AllocateSub(s); err == nil {
-					t.Fatalf("double AllocateSub(%v) succeeded", s)
-				}
+				fm.allocSub(t, live[rng.Intn(len(live))])
 			}
 		case op < 9: // Reset once in a while
 			if rng.Intn(20) == 0 {
-				m.Reset()
+				fm.reset()
 				live = live[:0]
 			}
 		default: // clone must be independent and identical
 			c := m.Clone()
 			checkTables(t, c)
-			if c.String() != m.String() || c.FreeCount() != m.FreeCount() || c.H() != m.H() {
+			if err := fm.diff(c); err != nil {
+				t.Fatalf("clone: %v", err)
+			}
+			if c.String() != m.String() || c.H() != m.H() {
 				t.Fatal("clone differs from original")
 			}
 		}
-		checkTables(t, m)
+		fm.verify(t)
 		if step%25 == 0 {
 			checkQueries3D(t, m, rng)
 		}
@@ -314,41 +309,29 @@ func TestVolumeOracleBoxOps(t *testing.T) {
 }
 
 // TestVolumeOracleCellOps drives random scattered (per-processor)
-// allocate/release sequences on a 3D mesh, covering the per-cell
-// incremental path, plane-row span grouping and the bulk-rebuild
-// fallback.
+// allocate/release sequences on a 3D mesh against the shadow model,
+// covering the per-cell incremental path across plane-rows.
 func TestVolumeOracleCellOps(t *testing.T) {
 	rng := rand.New(rand.NewSource(67))
 	m := New3D(5, 7, 3) // odd-ish sides: no alignment accidents
-	m.EnableOracle()
+	fm := newFaultModel(m)
 	for step := 0; step < 800; step++ {
 		if rng.Intn(2) == 0 {
-			free := m.FreeNodes()
+			free := fm.cells(func(i int) bool { return !fm.busy(i) })
 			if len(free) > 0 {
 				rng.Shuffle(len(free), func(i, j int) { free[i], free[j] = free[j], free[i] })
-				n := 1 + rng.Intn(len(free))
-				if err := m.Allocate(free[:n]); err != nil {
-					t.Fatalf("Allocate(%d free nodes): %v", n, err)
-				}
+				fm.allocate(t, free[:1+rng.Intn(len(free))])
 			}
 		} else {
-			var busyNodes []Coord
-			for i, b := range busySnapshot(m) {
-				if b {
-					busyNodes = append(busyNodes, m.CoordOf(i))
-				}
-			}
+			busyNodes := fm.cells(fm.busy)
 			if len(busyNodes) > 0 {
 				rng.Shuffle(len(busyNodes), func(i, j int) {
 					busyNodes[i], busyNodes[j] = busyNodes[j], busyNodes[i]
 				})
-				n := 1 + rng.Intn(len(busyNodes))
-				if err := m.Release(busyNodes[:n]); err != nil {
-					t.Fatalf("Release(%d busy nodes): %v", n, err)
-				}
+				fm.release(t, busyNodes[:1+rng.Intn(len(busyNodes))])
 			}
 		}
-		checkTables(t, m)
+		fm.verify(t)
 		if step%25 == 0 {
 			checkQueries3D(t, m, rng)
 		}

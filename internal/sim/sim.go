@@ -67,10 +67,9 @@ type Config struct {
 	// that many goroutines. Placements and metrics are bit-identical
 	// at every worker count, so the knob only changes wall-clock time;
 	// negative values are rejected. The CLIs expose it as -workers
-	// with 0 resolving to a GOMAXPROCS-aware count; the library
-	// default stays serial so embedding callers (and the experiment
-	// harness, which parallelizes across replications instead) never
-	// oversubscribe unasked.
+	// with the same meaning; the default stays serial so embedding
+	// callers (and the experiment harness, which parallelizes across
+	// replications instead) never oversubscribe unasked.
 	Workers int
 
 	// ThinkMean is the mean of the exponential compute gap a processor

@@ -506,8 +506,10 @@ func mutateCases(short bool) []Case {
 // several worker counts with everything else identical (and the
 // placements bit-identical by construction, so every worker count
 // simulates exactly the same run). BestFit scans its entire candidate
-// space on every allocation — the workload the executor exists for;
-// GABL adds the probe + histogram-sweep path.
+// space on every allocation — the workload the executor exists for.
+// The GABL cases are the control: the executor runs the
+// constrained-largest search serially, so their wN and w1 times
+// should agree within noise.
 func largeCases(short bool) []Case {
 	type cfg struct {
 		w, l, h  int
