@@ -57,8 +57,8 @@ func main() {
 		duration  = flag.Float64("duration", 0, "stop after this much workload time (0 = job-count stopping rule); with -duration and no explicit -jobs the run is purely time-bounded")
 		timeScale = flag.Float64("time-scale", 1, "time compression: divide arrivals and compute demands by this factor, so a -duration horizon simulates in 1/factor the events' original timespan")
 		startTime = flag.Float64("start-time", 0, "warm start: shift the workload to begin at this workload time and open the measurement window there")
-	diPeriod  = flag.Float64("diurnal-period", 0, "period of the sinusoidal day/night arrival-rate cycle, in workload time units (0 = no modulation)")
-	diAmp     = flag.Float64("diurnal-amplitude", 0, "relative amplitude of the day/night cycle in [0, 1): instantaneous rate swings between (1-a) and (1+a) times the mean")
+		diPeriod  = flag.Float64("diurnal-period", 0, "period of the sinusoidal day/night arrival-rate cycle, in workload time units (0 = no modulation)")
+		diAmp     = flag.Float64("diurnal-amplitude", 0, "relative amplitude of the day/night cycle in [0, 1): instantaneous rate swings between (1-a) and (1+a) times the mean")
 		timeline  = flag.String("timeline", "", "write periodic metric snapshots (time, throughput, queue, utilization, P95s) to FILE; requires -duration")
 		tlInt     = flag.Float64("timeline-interval", 0, "workload time between timeline snapshots (0 = duration/100)")
 		tlFmt     = flag.String("timeline-format", "csv", "timeline format: csv, json (JSON lines)")

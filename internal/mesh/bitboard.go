@@ -253,7 +253,11 @@ func fitMask(buf []uint64, w int) {
 // based at row y, planes z..z+h-1 into dst (wpr words) and reports
 // whether any bit survived — bit x of the result is set iff column x
 // is free in every window row, so a zero mask has no candidate base at
-// any width and callers can stop before the fit-mask narrowing.
+// any width and callers can stop before the fit-mask narrowing. On the
+// torus the window rows wrap mod L (a base row is below L, so one
+// subtraction suffices). Doubling commutes with AND (both are per-bit),
+// so a torus window is ANDed planar-first and rotated into its seam
+// band once (doubleRowInto), not row by row.
 func (m *Mesh) windowMaskInto(dst []uint64, y, z, l, h int) bool {
 	copy(dst, m.rowWords(m.rowIdx(y, z)))
 	if l == 1 && h == 1 {
@@ -270,7 +274,11 @@ func (m *Mesh) windowMaskInto(dst []uint64, y, z, l, h int) bool {
 			yy0 = y + 1
 		}
 		for yy := yy0; yy < y+l; yy++ {
-			src := m.rowWords(m.rowIdx(yy, zz))
+			r := yy
+			if r >= m.l {
+				r -= m.l
+			}
+			src := m.rowWords(m.rowIdx(r, zz))
 			var any uint64
 			for i, v := range src {
 				dst[i] &= v
@@ -279,56 +287,6 @@ func (m *Mesh) windowMaskInto(dst []uint64, y, z, l, h int) bool {
 			if any == 0 {
 				return false
 			}
-		}
-	}
-	return true
-}
-
-// planarFitMaskInto builds the width-w fit mask of the w x l x h
-// window family based at row y, planes z..z+h-1: bit x of dst is set
-// iff the cuboid based at (x, y, z) is entirely free. A false return
-// means the mask is certainly zero (some window column is nowhere
-// free); true means enumeration may still find no set bit.
-func (m *Mesh) planarFitMaskInto(dst []uint64, y, z, w, l, h int) bool {
-	if !m.windowMaskInto(dst, y, z, l, h) {
-		return false
-	}
-	fitMask(dst, w)
-	return true
-}
-
-// torusRowAndInto ANDs the free words of the l wrapped window rows
-// y..y+l-1 (mod L) into dst (wpr words), reporting whether any bit
-// survived — the planar half of a torus fit mask. Doubling commutes
-// with AND (both are per-bit), so ANDing first and rotating the seam
-// band once (doubleRowInto) equals doubling every row.
-func (m *Mesh) torusRowAndInto(dst []uint64, y, l int) bool {
-	yy := y
-	if yy >= m.l {
-		yy -= m.l
-	}
-	copy(dst, m.rowWords(yy))
-	if l == 1 {
-		for _, v := range dst {
-			if v != 0 {
-				return true
-			}
-		}
-		return false
-	}
-	for i := 1; i < l; i++ {
-		yy := y + i
-		if yy >= m.l {
-			yy -= m.l
-		}
-		src := m.rowWords(yy)
-		var any uint64
-		for j, v := range src {
-			dst[j] &= v
-			any |= dst[j]
-		}
-		if any == 0 {
-			return false
 		}
 	}
 	return true
@@ -378,6 +336,10 @@ func firstMaskBit(words []uint64, limit int) int {
 func (m *Mesh) busyRowSpanBits(r, x1, x2 int) int {
 	row := m.rowWords(r)
 	w0, w1 := x1>>6, x2>>6
+	if w0 == w1 { // the common short strip: one masked word
+		mask := (^uint64(0) >> uint(63-(x2-x1))) << uint(x1&63)
+		return x2 - x1 + 1 - bits.OnesCount64(row[w0]&mask)
+	}
 	free := 0
 	for i := w0; i <= w1; i++ {
 		lo, hi := 0, 63

@@ -25,6 +25,14 @@
 // themselves, and the searches to reference scans kept in
 // reference_test.go.
 //
+// FirstFit and BestFit run one candidate-base loop on every fabric,
+// serial and sharded: a scan over a range of base rows — (z, y) pairs
+// on a planar or 3D mesh, grid rows on the torus — that prunes windows
+// with the row (and plane) aggregates and enumerates each surviving
+// row's bases off a bitboard fit mask. The topology supplies only the
+// window-row check, the fit-mask builder and the score (search.go,
+// docs/occupancy-index.md §7).
+//
 // The constrained-largest search (LargestFree, the heart of GABL's
 // carving) runs as a best-first shape-probe phase backed by an O(W·L)
 // maximal-rectangle-in-histogram sweep — over the doubled seam band on
@@ -55,20 +63,21 @@
 //
 // On a 3D mesh the searches gain the depth axis (FirstFit3D, BestFit3D,
 // LargestFree3D, FitsAt3D) scanning candidate bases in (z, y, x) order
-// with plane-aggregate pruning; every 3D entry point delegates to the
-// planar machinery on depth-1 meshes, so 2D behaviour — placements,
-// tie-breaking, memoization — is bit-identical to the planar-only
-// engine by construction (volume.go).
+// with plane-aggregate pruning. The planar FirstFit and BestFit are the
+// depth-1 case of the same scan, and LargestFree3D delegates to the
+// planar sweep on depth-1 meshes, so 2D placements and tie-breaking are
+// identical whichever entry point is called (volume.go).
 //
 // # Search executors
 //
 // Every search also runs behind the Searcher interface: NewSerial
 // binds the scans above to the calling goroutine, and NewSharded runs
-// the BestFit scan on a pool of workers — the (z, y) base space split
-// into contiguous stripes, per-worker scratch, owner-side aggregate
-// repairs, and a stripe-ordered reduction that reproduces the serial
-// tie-break exactly, so placements are bit-identical at every worker
-// count (sharded.go, docs/occupancy-index.md §8). The other searches
+// the BestFit scan on a pool of workers — the base-row space split
+// into contiguous stripes, each scanned by the serial scan with
+// per-worker scratch after owner-side aggregate repairs, and a
+// stripe-ordered reduction that reproduces the serial tie-break
+// exactly, so placements are bit-identical at every worker count
+// (sharded.go, docs/occupancy-index.md §8). The other searches
 // finish before a fan-out could pay, so the sharded executor runs them
 // serially. The allocation strategies route their scans through a
 // Searcher, which is how one -workers knob parallelizes a whole

@@ -56,20 +56,15 @@ type histScratch struct {
 	nFailed     int
 	failedEpoch uint64
 
-	// Bitboard word scratch (bitboard.go): the window fit mask of
-	// CandidatesRow, the torus window AND, and the doubled seam band
-	// shared by the torus CandidatesRow and the torus sweep — safe to
-	// share because the probe phase's candidate enumerations always
-	// complete before a sweep starts (largestFreeHist runs its phases
-	// strictly in sequence).
-	winMask  []uint64
-	rowAnd   []uint64
-	bandMask []uint64
+	// scan is the serial window scans' word scratch (search.go). Its
+	// seam band doubles as the torus sweep's band row — safe to share
+	// because the probe phase's scans always complete before a sweep
+	// starts (largestFreeHist runs its phases strictly in sequence).
+	scan scanScratch
 
-	// 3D-search scratch (volume.go): the word-AND projected plane, the
-	// MW(d, l) table and the per-projection sweep records. A mesh only
-	// ever exercises one family — the planar buffers above on depth 1,
-	// these below on depth > 1.
+	// 3D-sweep scratch (volume.go): the word-AND projected plane, the
+	// MW(d, l) table and the per-projection sweep records, used on
+	// depth > 1 only.
 	proj  []uint64
 	mw3   []int
 	cand3 []int
@@ -389,7 +384,7 @@ func (m *Mesh) maxWidthByHeight(maxL int) []int {
 	var band []uint64
 	if m.torus {
 		cols, rows = 2*m.w, 2*m.l-1
-		band = sizedWordScratch(&m.hist.bandMask, wordsPerRow(cols))
+		band = sizedWordScratch(&m.hist.scan.band, wordsPerRow(cols))
 	}
 	heights := sizedScratch(&m.hist.heights, cols)
 	stackS := sizedScratch(&m.hist.stackS, cols+1)

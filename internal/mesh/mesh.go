@@ -364,12 +364,13 @@ func (m *Mesh) rowMaxAt(r int) int {
 // least w. The stored aggregate is an upper bound even when stale
 // (looseRowBound), so a value already below w settles the question
 // without the O(W) repair; only an inconclusive stale row pays for
-// exactness.
+// exactness. It stays small enough to inline into the window scan's
+// per-row check.
 func (m *Mesh) rowFitsWidth(r, w int) bool {
-	if m.rowMax[r] < w {
-		return false
+	if m.rowStale[r] && m.rowMax[r] >= w {
+		m.rowMaxRescan(r)
 	}
-	return m.rowMaxAt(r) >= w
+	return m.rowMax[r] >= w
 }
 
 // flipBox marks the (validated) cuboid busy or free: whole-word writes

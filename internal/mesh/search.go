@@ -6,62 +6,216 @@ import (
 )
 
 // This file implements the free-rectangle searches used by the
-// allocation strategies. Candidate bases come off the bitboard
-// (bitboard.go): the window rows' free words AND together, the
-// shift-AND fit mask narrows them to width w, and the surviving bits
-// are exactly the bases where the whole w x l window is free —
+// allocation strategies. FirstFit and BestFit on every fabric — the
+// planar mesh, the 3D mesh and the torus, serial and sharded — run one
+// candidate-base loop, windowScan. Candidate bases come off the
+// bitboard (bitboard.go): the window rows' free words AND together,
+// the shift-AND fit mask narrows them to width w, and the surviving
+// bits are exactly the bases where the whole window is free —
 // enumerated by TrailingZeros64 instead of probed one run at a time.
-// The run-table walk the mask replaced is kept in reference_test.go as
-// blockedUntil, the reference the differential tests hold the mask
-// enumeration to.
+// The topology decides only three leaf helpers: the window-row check
+// (windowRowFits), the fit-mask builder (fitMaskInto) and the score
+// (boundaryPressure3D on a slab — on depth 1 its two z faces add the
+// constant 2·w·l, so the planar ranking is unchanged — or
+// torusBoundaryPressure). The run-table walk the mask replaced is kept in
+// reference_test.go as blockedUntil, the reference the differential
+// tests hold the mask enumeration to.
 
-// CandidatesRow yields, left to right, every base x in row y where the
-// w x l sub-mesh based at (x,y) is entirely free: the window rows'
-// free words AND into one mask, the fit mask narrows it to width w,
-// and the set bits are the bases. On a torus every grid position is a
-// candidate base and the extent wraps across the seams — the ANDed row
-// rotates into its doubled seam band first, so wrapped spans read
-// contiguously, and only bits below W are bases (a bit in [W, 2W) is
-// the same wrapped placement seen from its second copy).
-func (m *Mesh) CandidatesRow(y, w, l int) iter.Seq[int] {
-	return func(yield func(int) bool) {
-		if m.torus {
-			if w <= 0 || l <= 0 || w > m.w || l > m.l || y < 0 || y >= m.l {
-				return
+// scanScratch is the word scratch of one window scan: the slab fit
+// mask (on the torus, the window AND it is rotated from) and the
+// torus's doubled seam band. The mesh keeps one for its serial
+// searches and every sharded worker its own, so concurrent stripes
+// never share a buffer.
+type scanScratch struct {
+	mask []uint64 // wpr words
+	band []uint64 // wordsPerRow(2W) words
+}
+
+// shapeOK reports whether a w x l x h request is positive and within
+// the mesh sides — the precondition of every window scan.
+func (m *Mesh) shapeOK(w, l, h int) bool {
+	return w > 0 && l > 0 && h > 0 && w <= m.w && l <= m.l && h <= m.h
+}
+
+// baseRows counts the candidate base rows of a w x l x h window scan:
+// every grid row on the torus, the fitting (z, y) pairs otherwise.
+func (m *Mesh) baseRows(l, h int) int {
+	if m.torus {
+		return m.l
+	}
+	return (m.h - h + 1) * (m.l - l + 1)
+}
+
+// windowScan is the candidate-base loop of FirstFit and BestFit. It
+// scans base rows [b0, b1) of a w x l x h window: on a slab base row b
+// is the (z, y) pair b = z·(L−l+1) + y (a planar mesh is the depth-1
+// slab); on the torus it is grid row y, and window rows wrap mod L.
+// Each surviving base row's bases come off its fit mask in x order. In
+// first mode the first free window wins; otherwise every free window
+// is scored and the first maximal one wins. It returns the winner's
+// base (a Coord, not a Submesh: the scan's per-candidate loop stays
+// free of struct copies) and, in best mode, its score. The shape must
+// satisfy shapeOK.
+//
+// Pruning skips only bases with no free window, so it never changes
+// the answer: a window row too narrow for w rules out every base whose
+// window holds it (nextBaseRow), and on a slab a plane too narrow for
+// w rules out every z-window holding it.
+//
+// The row and plane checks repair stale aggregates lazily. After
+// Sharded.prepare nothing is stale, so the scan only reads the mesh and
+// workers may run it concurrently on disjoint stripes.
+func (m *Mesh) windowScan(b0, b1, w, l, h int, sc *scanScratch, first bool) (base Coord, score int, ok bool) {
+	ny := m.l
+	if !m.torus {
+		ny = m.l - l + 1
+	}
+	z, y := 0, b0
+	if y >= ny {
+		z, y = b0/ny, b0%ny
+	}
+	// zOK is the base plane whose z-window passed the plane filter. The
+	// torus has none to pass: planeMax does not bound seam-crossing runs.
+	zOK := -1
+	if m.torus {
+		zOK = 0
+	}
+	cleared := false // the previous base's window rows all passed
+	score = -1
+	for b := b0; b < b1; {
+		if z != zOK {
+			j := h - 1
+			for j >= 0 && m.planeFitsWidth(z+j, w) {
+				j--
 			}
-			rowAnd := sizedWordScratch(&m.hist.rowAnd, m.wpr)
-			if !m.torusRowAndInto(rowAnd, y, l) {
-				return
+			if j >= 0 {
+				z, y, cleared = z+j+1, 0, false
+				b = z * ny
+				continue
 			}
-			band := sizedWordScratch(&m.hist.bandMask, wordsPerRow(2*m.w))
-			m.doubleRowInto(band, rowAnd)
-			fitMask(band, w)
-			for i, v := range band {
-				base := i << 6
-				for v != 0 {
-					x := base + bits.TrailingZeros64(v)
-					if x >= m.w {
-						return
-					}
-					if !yield(x) {
-						return
-					}
-					v &= v - 1
+			zOK = z
+		}
+		if y = m.nextBaseRow(y, z, w, l, h, ny, cleared); y == ny {
+			z, y, cleared = z+1, 0, false
+			b = z * ny
+			continue
+		}
+		if b = z*ny + y; b >= b1 {
+			break
+		}
+		cleared = true
+	bases:
+		for i, v := range m.fitMaskInto(sc, y, z, w, l, h) {
+			x0 := i << 6
+			for v != 0 {
+				x := x0 + bits.TrailingZeros64(v)
+				if x >= m.w {
+					break bases // torus band's second copy: the same placements
+				}
+				v &= v - 1
+				if first {
+					return Coord{x, y, z}, 0, true
+				}
+				var s int
+				if m.torus {
+					s = m.torusBoundaryPressure(SubAt3D(x, y, z, w, l, h))
+				} else {
+					s = m.boundaryPressure3D(SubAt3D(x, y, z, w, l, h))
+				}
+				if s > score {
+					base, score, ok = Coord{x, y, z}, s, true
 				}
 			}
+		}
+		if b, y = b+1, y+1; y == ny {
+			z, y, cleared = z+1, 0, false
+		}
+	}
+	return base, score, ok
+}
+
+// nextBaseRow returns the first base row >= y of plane z whose window
+// rows all hold width w, or ny when none remains. A blocking row at
+// window offset i lies in the window of every base y..y+i — also when
+// it wraps past the torus seam — so the search resumes at y+i+1. When
+// cleared, base y-1's window rows already passed and only row y+l-1 is
+// new to the window: amortised O(1) row checks per base row.
+func (m *Mesh) nextBaseRow(y, z, w, l, h, ny int, cleared bool) int {
+	for y < ny {
+		from := 0
+		if cleared {
+			from = l - 1
+		}
+		i := l - 1
+		for i >= from && m.windowRowFits(y+i, z, w, h) {
+			i--
+		}
+		if i < from {
+			return y
+		}
+		y, cleared = y+i+1, false
+	}
+	return ny
+}
+
+// windowRowFits reports whether window row y can hold width w: on a
+// slab in every plane of the z-window (rowFitsWidth); on the torus row
+// y mod L under the wrap-aware bound (rowBoundFits).
+func (m *Mesh) windowRowFits(y, z, w, h int) bool {
+	if m.torus {
+		if y >= m.l {
+			y -= m.l
+		}
+		return m.rowBoundFits(y, w)
+	}
+	for r := m.rowIdx(y, z); h > 0; h-- {
+		if !m.rowFitsWidth(r, w) {
+			return false
+		}
+		r += m.l
+	}
+	return true
+}
+
+// fitMaskInto builds the width-w fit mask of the window based at row y,
+// plane z into sc and returns it, or nil when some window column is
+// nowhere free (windowMaskInto). On a slab bit x is set iff the cuboid
+// based at (x, y, z) is free. On the torus the ANDed window rotates
+// into its doubled seam band first, so wrapped spans read contiguously,
+// and only bits below W are bases (a bit in [W, 2W) is the same wrapped
+// placement seen from its second copy).
+func (m *Mesh) fitMaskInto(sc *scanScratch, y, z, w, l, h int) []uint64 {
+	mask := sizedWordScratch(&sc.mask, m.wpr)
+	if !m.windowMaskInto(mask, y, z, l, h) {
+		return nil
+	}
+	if m.torus {
+		band := sizedWordScratch(&sc.band, wordsPerRow(2*m.w))
+		m.doubleRowInto(band, mask)
+		mask = band
+	}
+	fitMask(mask, w)
+	return mask
+}
+
+// CandidatesRow yields, left to right, every base x in row y (plane 0)
+// where the w x l sub-mesh based at (x, y) is entirely free — the set
+// bits below W of the window's fit mask (fitMaskInto). On a torus every
+// grid row is a base row and the extent wraps across both seams.
+func (m *Mesh) CandidatesRow(y, w, l int) iter.Seq[int] {
+	return func(yield func(int) bool) {
+		last := m.l - l
+		if m.torus {
+			last = m.l - 1
+		}
+		if !m.shapeOK(w, l, 1) || y < 0 || y > last {
 			return
 		}
-		if w <= 0 || l <= 0 || y < 0 || y+l > m.l {
-			return
-		}
-		mask := sizedWordScratch(&m.hist.winMask, m.wpr)
-		if !m.planarFitMaskInto(mask, y, 0, w, l, 1) {
-			return
-		}
-		for i, v := range mask {
+		for i, v := range m.fitMaskInto(&m.hist.scan, y, 0, w, l, 1) {
 			base := i << 6
 			for v != 0 {
-				if !yield(base + bits.TrailingZeros64(v)) {
+				x := base + bits.TrailingZeros64(v)
+				if x >= m.w || !yield(x) {
 					return
 				}
 				v &= v - 1
@@ -70,66 +224,11 @@ func (m *Mesh) CandidatesRow(y, w, l int) iter.Seq[int] {
 	}
 }
 
-// nextWindowRow advances the base row past every window that contains
-// a row too narrow for width w (rowMax < w): given base y whose window
-// rows (y..y+l-1) above the newly entered bottom row are known clean
-// when fresh is false, it returns the next viable base row, or m.l when
-// none remains. Amortized O(1) per base row.
-func (m *Mesh) nextWindowRow(y, w, l int, fresh bool) int {
-	for y+l <= m.l {
-		if !fresh {
-			// Only row y+l-1 is new to the window; the rest was
-			// checked when the previous base row was cleared.
-			if m.rowFitsWidth(y+l-1, w) {
-				return y
-			}
-			y += l
-			fresh = true
-			continue
-		}
-		bad := -1
-		for yy := y + l - 1; yy >= y; yy-- {
-			if !m.rowFitsWidth(yy, w) {
-				bad = yy
-				break
-			}
-		}
-		if bad < 0 {
-			return y
-		}
-		y = bad + 1
-	}
-	return m.l
-}
-
 // FirstFit returns the first (row-major base order) free w x l sub-mesh,
 // the classic contiguous first-fit search. On a torus the candidate
 // space includes seam-crossing placements (the returned sub-mesh may
 // have X2 >= W or Y2 >= L; resolve it with SplitWrap).
-func (m *Mesh) FirstFit(w, l int) (Submesh, bool) {
-	if m.torus {
-		return m.torusFirstFit(w, l)
-	}
-	if w <= 0 || l <= 0 || w > m.w || l > m.l {
-		return Submesh{}, false
-	}
-	if m.h > 1 {
-		// On a 3D mesh a 2D request is a depth-1 cuboid anywhere in the
-		// volume (volume.go).
-		return m.firstFit3D(w, l, 1)
-	}
-	fresh := true
-	for y := 0; ; y++ {
-		y = m.nextWindowRow(y, w, l, fresh)
-		if y+l > m.l {
-			return Submesh{}, false
-		}
-		for x := range m.CandidatesRow(y, w, l) {
-			return SubAt(x, y, w, l), true
-		}
-		fresh = false
-	}
-}
+func (m *Mesh) FirstFit(w, l int) (Submesh, bool) { return m.FirstFit3D(w, l, 1) }
 
 // BestFit returns the free w x l sub-mesh whose placement touches the
 // most busy-or-border processors along its perimeter (Zhu-style best
@@ -138,79 +237,7 @@ func (m *Mesh) FirstFit(w, l int) (Submesh, bool) {
 // space includes seam-crossing placements and the score counts busy
 // neighbours only — a torus has no border to hug (see
 // torusBoundaryPressure).
-func (m *Mesh) BestFit(w, l int) (Submesh, bool) {
-	if m.torus {
-		return m.torusBestFit(w, l)
-	}
-	if w <= 0 || l <= 0 || w > m.w || l > m.l {
-		return Submesh{}, false
-	}
-	if m.h > 1 {
-		// Depth-1 candidates over the whole volume, scored on all six
-		// faces (volume.go).
-		return m.BestFit3D(w, l, 1)
-	}
-	best := Submesh{}
-	bestScore := -1
-	fresh := true
-	for y := 0; ; y++ {
-		y = m.nextWindowRow(y, w, l, fresh)
-		if y+l > m.l {
-			break
-		}
-		for x := range m.CandidatesRow(y, w, l) {
-			s := SubAt(x, y, w, l)
-			score := m.boundaryPressure(s)
-			if score > bestScore {
-				bestScore = score
-				best = s
-			}
-		}
-		fresh = false
-	}
-	if bestScore < 0 {
-		return Submesh{}, false
-	}
-	return best, true
-}
-
-// boundaryPressure counts perimeter positions of s that abut the mesh
-// border or a busy processor, straight off the bitboard words: the
-// horizontal strips are one-row pop-counts, the vertical strips one bit
-// probe per row. Strips falling off the mesh count whole as border.
-// Corners are not counted, matching the four perimeter edges.
-func (m *Mesh) boundaryPressure(s Submesh) int {
-	score := 0
-	if s.Y1 == 0 {
-		score += s.W()
-	} else {
-		score += m.busyRowSpanBits(s.Y1-1, s.X1, s.X2)
-	}
-	if s.Y2 == m.l-1 {
-		score += s.W()
-	} else {
-		score += m.busyRowSpanBits(s.Y2+1, s.X1, s.X2)
-	}
-	if s.X1 == 0 {
-		score += s.L()
-	} else {
-		for y := s.Y1; y <= s.Y2; y++ {
-			if !m.freeBitAt(y, s.X1-1) {
-				score++
-			}
-		}
-	}
-	if s.X2 == m.w-1 {
-		score += s.L()
-	} else {
-		for y := s.Y1; y <= s.Y2; y++ {
-			if !m.freeBitAt(y, s.X2+1) {
-				score++
-			}
-		}
-	}
-	return score
-}
+func (m *Mesh) BestFit(w, l int) (Submesh, bool) { return m.BestFit3D(w, l, 1) }
 
 // LargestFree returns the free sub-mesh of maximum area subject to
 // width <= maxW, length <= maxL and area <= maxArea. Ties prefer the

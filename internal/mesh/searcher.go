@@ -4,11 +4,11 @@ package mesh
 // strategy runs its candidate scans through a Searcher instead of
 // calling the Mesh search methods directly. Two executors implement the
 // interface — Serial, a thin binding to the existing scans, and Sharded
-// (sharded.go), which partitions the BestFit scan's (z, y) base space
-// into contiguous stripes and scans them on a pool of workers. The two
-// are result-identical by construction (docs/occupancy-index.md §8), so a
-// strategy's placements never depend on which executor — or how many
-// workers — ran its searches.
+// (sharded.go), which partitions the BestFit scan's base rows into
+// contiguous stripes and runs the same serial scan on each stripe on a
+// pool of workers. The two are result-identical by construction
+// (docs/occupancy-index.md §8), so a strategy's placements never
+// depend on which executor — or how many workers — ran its searches.
 
 // Searcher executes the free-space searches of one mesh. The three
 // searches mirror the Mesh entry points FirstFit3D / BestFit3D /
@@ -83,7 +83,7 @@ func (s Serial) Close() {}
 // frame of a row or column wraps around the seam instead of being
 // dropped; the torus fabric is depth-1, so the z stride degenerates).
 func (m *Mesh) SlideFit(w, l, h int) (Submesh, bool) {
-	if w <= 0 || l <= 0 || h <= 0 || w > m.w || l > m.l || h > m.h {
+	if !m.shapeOK(w, l, h) {
 		return Submesh{}, false
 	}
 	ymax, xmax := m.l-l, m.w-w

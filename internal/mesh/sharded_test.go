@@ -48,7 +48,8 @@ func churnStep(t *testing.T, m *Mesh, rng *rand.Rand) {
 }
 
 // compareSearches runs every search serially and through sh and
-// demands identical results.
+// demands identical results, and holds FirstFit and BestFit to the
+// fabric's naive reference scan.
 func compareSearches(t *testing.T, m *Mesh, sh *Sharded, w, l, h int) {
 	t.Helper()
 	type result struct {
@@ -71,6 +72,28 @@ func compareSearches(t *testing.T, m *Mesh, sh *Sharded, w, l, h int) {
 		if c.serial != c.shrd {
 			t.Fatalf("%s(%dx%dx%d) workers=%d: serial %+v, sharded %+v",
 				c.name, w, l, h, sh.Workers(), c.serial, c.shrd)
+		}
+	}
+	// Serial and sharded run the same scan loop, so agreeing with each
+	// other proves little; the naive reference for the fabric referees
+	// both.
+	var ff, bf result
+	switch {
+	case m.Torus():
+		if h == 1 {
+			ff, bf = mk(naiveTorusFirstFit(m, w, l)), mk(naiveTorusBestFit(m, w, l))
+		}
+	case m.H() > 1:
+		ff, bf = mk(naiveFirstFit3D(m, w, l, h)), mk(naiveBestFit3D(m, w, l, h))
+	case h == 1:
+		ff, bf = mk(seedFirstFit(m, w, l)), mk(seedBestFit(m, w, l))
+	}
+	for _, c := range []struct {
+		name      string
+		got, want result
+	}{{"FirstFit", checks[0].serial, ff}, {"BestFit", checks[1].serial, bf}} {
+		if c.got != c.want {
+			t.Fatalf("%s(%dx%dx%d): scan %+v, naive reference %+v", c.name, w, l, h, c.got, c.want)
 		}
 	}
 }

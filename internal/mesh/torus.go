@@ -16,6 +16,13 @@ package mesh
 //     adding the row's leading run when the trailing edge is free
 //     (rowBoundAt) — a bound is all the searches need for pruning.
 //
+// FirstFit and BestFit run the shared window scan (windowScan,
+// search.go) over every grid row as a base row, with window rows taken
+// mod L. This file supplies its torus leaf helpers: rowBoundFits for
+// the window-row check — with no plane filter, because planeMax bounds
+// only planar runs, not runs crossing the x seam — and
+// torusBoundaryPressure for the score.
+//
 // Keeping the state planar means every mutation path, invariant and
 // repair rule of the planar index carries over unchanged, and mesh-mode
 // behaviour cannot drift: the torus branches are gated on m.torus.
@@ -185,82 +192,6 @@ func (m *Mesh) torusSubFree(s Submesh) bool {
 		return true
 	}
 	return m.wrapBusy(s) == 0
-}
-
-// torusWindowSkip prunes base rows for a w-wide, l-tall window whose
-// rows wrap: it returns the next base row >= y whose window contains no
-// row with rowBoundAt < w, or m.l when none remains. A blocking row at
-// or after the base lets the search jump straight past it; a blocking
-// row in the wrapped prefix only rules out the current base.
-func (m *Mesh) torusWindowSkip(y, w, l int) int {
-	for y < m.l {
-		bad := -1
-		for i := l - 1; i >= 0; i-- {
-			yy := y + i
-			if yy >= m.l {
-				yy -= m.l
-			}
-			if !m.rowBoundFits(yy, w) {
-				bad = yy
-				break
-			}
-		}
-		switch {
-		case bad < 0:
-			return y
-		case bad >= y:
-			y = bad + 1 // every base in [y, bad] contains row bad
-		default:
-			y++ // blocker wraps before the base; retry the next base
-		}
-	}
-	return m.l
-}
-
-// torusFirstFit is FirstFit over the torus candidate space: bases are
-// every (x, y) of the grid in row-major order, and extents wrap across
-// both seams.
-func (m *Mesh) torusFirstFit(w, l int) (Submesh, bool) {
-	if w <= 0 || l <= 0 || w > m.w || l > m.l {
-		return Submesh{}, false
-	}
-	for y := 0; y < m.l; y++ {
-		y = m.torusWindowSkip(y, w, l)
-		if y >= m.l {
-			break
-		}
-		for x := range m.CandidatesRow(y, w, l) {
-			return SubAt(x, y, w, l), true
-		}
-	}
-	return Submesh{}, false
-}
-
-// torusBestFit is BestFit over the torus candidate space, scored by
-// torusBoundaryPressure. The row-major-first candidate wins ties.
-func (m *Mesh) torusBestFit(w, l int) (Submesh, bool) {
-	if w <= 0 || l <= 0 || w > m.w || l > m.l {
-		return Submesh{}, false
-	}
-	best := Submesh{}
-	bestScore := -1
-	for y := 0; y < m.l; y++ {
-		y = m.torusWindowSkip(y, w, l)
-		if y >= m.l {
-			break
-		}
-		for x := range m.CandidatesRow(y, w, l) {
-			s := SubAt(x, y, w, l)
-			if score := m.torusBoundaryPressure(s); score > bestScore {
-				bestScore = score
-				best = s
-			}
-		}
-	}
-	if bestScore < 0 {
-		return Submesh{}, false
-	}
-	return best, true
 }
 
 // torusBoundaryPressure counts perimeter positions of the candidate

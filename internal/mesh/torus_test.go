@@ -152,6 +152,46 @@ func TestTorusBestFitIgnoresBorder(t *testing.T) {
 	}
 }
 
+// TestTorusWrappedBlockerEndsScan pins the window scan's jump past a
+// blocker that wraps the y seam. Row 1 is the torus's only row too
+// narrow for a 25-wide window (busy cells at x = 10 and 25 cap its
+// wrapped runs at 24), so the 4-tall windows based at y = 30 and 31
+// reach it only across the seam; the scan must jump past them, and on
+// every stripe split the answers must match the naive scans.
+func TestTorusWrappedBlockerEndsScan(t *testing.T) {
+	m := NewTorus(40, 32)
+	fill(t, m, SubAt(10, 1, 1, 1), SubAt(25, 1, 1, 1))
+	if got := m.rowBoundAt(1); got != 24 {
+		t.Fatalf("rowBoundAt(1) = %d, want 24", got)
+	}
+	wantFF, wantBF := SubAt(0, 2, 25, 4), SubAt(1, 2, 25, 4)
+	if s, ok := naiveTorusFirstFit(m, 25, 4); !ok || s != wantFF {
+		t.Fatalf("naive FirstFit = %v,%v; want %v", s, ok, wantFF)
+	}
+	if s, ok := naiveTorusBestFit(m, 25, 4); !ok || s != wantBF {
+		t.Fatalf("naive BestFit = %v,%v; want %v", s, ok, wantBF)
+	}
+	if s, ok := m.FirstFit(25, 4); !ok || s != wantFF {
+		t.Fatalf("FirstFit = %v,%v; want %v", s, ok, wantFF)
+	}
+	for _, workers := range []int{1, 2, 3} {
+		sh := NewSharded(m, workers)
+		if s, ok := sh.BestFit(25, 4, 1); !ok || s != wantBF {
+			t.Fatalf("BestFit workers=%d = %v,%v; want %v", workers, s, ok, wantBF)
+		}
+		sh.Close()
+	}
+	// Stripes that start late: bases 30..31 reach row 1 only across the
+	// seam and hold no window, and bases 29..31 keep the y = 29 window,
+	// which touches row 1's busy cells across the seam.
+	if _, _, ok := m.windowScan(30, 32, 25, 4, 1, &m.hist.scan, false); ok {
+		t.Fatal("scan of bases 30..31 found a window through the blocked row")
+	}
+	if c, _, ok := m.windowScan(29, 32, 25, 4, 1, &m.hist.scan, false); !ok || c != (Coord{1, 29, 0}) {
+		t.Fatalf("scan of bases 29..31 = %v,%v; want the y = 29 window at x = 1", c, ok)
+	}
+}
+
 func TestTorusLargestFreeWrapsSeam(t *testing.T) {
 	// Columns 3..4 busy: the largest free rectangle wraps the x seam as
 	// the 6-wide band based at x=5.

@@ -1,32 +1,31 @@
 package mesh
 
-import "math/bits"
-
 // This file is the 3D query and search layer of the occupancy index
 // (PR 4). The authoritative state is dimension-general (mesh.go): the
 // bitboard words are per-(row, plane), the per-row aggregates stack
 // into the z-axis planeMax aggregate, and cuboid occupancy queries
 // (SubFree/FitsAt/BusyInRect/FreeInRect) are masked word compares and
-// pop-counts over the slab's rows. The searches here port the planar
-// ones:
+// pop-counts over the slab's rows. Here live the depth-general pieces
+// of the searches:
 //
-//   - firstFit3D / bestFit3D scan candidate bases in (z, y, x) order,
-//     pruning whole planes with planeMax (z-pruning) and whole window
-//     rows with rowMax, and skip blocked bases run by run exactly like
-//     the planar CandidatesRow;
+//   - FirstFit3D / BestFit3D, the entry points of the one window scan
+//     (windowScan, search.go) that serves every fabric — the planar
+//     FirstFit/BestFit delegate to them with h = 1 — plus the plane
+//     filter (planeFitsWidth) and the face score (boundaryPressure3D)
+//     the scan uses on slabs;
 //   - largestFree3D runs the PR 3 maximal-rectangle-in-histogram sweep
 //     per projected plane under a z-extent outer loop: for every
 //     (base plane, depth) pair the planes are AND-projected and one
 //     O(W·L) sweep yields the widest free cuboid per height, folded
 //     into the best capped (volume, spread) and located with
-//     firstFit3D. The naive volumetric scan is kept verbatim in
+//     FirstFit3D. The naive volumetric scan is kept verbatim in
 //     reference_test.go as largestFreeScan3D — the reference the
 //     differential tests hold the sweep to, result for result
 //     (mirroring largestFreeScan).
 //
-// A depth-1 mesh never reaches this file: every public 3D entry point
-// delegates to the planar machinery there, so 2D (and torus) behaviour
-// is bit-identical to PR 3 by construction.
+// LargestFree3D on a depth-1 mesh (and the torus) delegates to the
+// planar LargestFree, whose sweep carries the probe phase and the
+// release-epoch memo this file's sweep lacks.
 
 // planeMaxRescan re-derives plane z's aggregate from the per-row
 // bounds. The row bounds themselves may be stale-high, so the result
@@ -80,169 +79,93 @@ func (m *Mesh) FitsAt3D(x, y, z, w, l, h int) bool {
 	return true
 }
 
-// nextWindowPlane advances the base plane past every z-window that
-// contains a plane too narrow for width w (planeMax < w): it returns
-// the next base plane >= z whose window planes z..z+h-1 all pass the
-// plane filter, or m.h when none remains. A blocking plane rules out
-// every window containing it, so the scan jumps straight past it.
-func (m *Mesh) nextWindowPlane(z, w, h int) int {
-	for z+h <= m.h {
-		bad := -1
-		for i := h - 1; i >= 0; i-- {
-			if !m.planeFitsWidth(z+i, w) {
-				bad = z + i
-				break
-			}
-		}
-		if bad < 0 {
-			return z
-		}
-		z = bad + 1
-	}
-	return m.h
-}
-
-// blockingWindowRow returns the highest row yy in [y, y+l-1] whose
-// plane-rows across the z-window cannot hold width w, or -1 when every
-// window row passes. Any base row in [y, yy] would contain row yy, so
-// the search jumps to yy+1.
-func (m *Mesh) blockingWindowRow(y, z, w, l, h int) int {
-	for yy := y + l - 1; yy >= y; yy-- {
-		for zz := z; zz < z+h; zz++ {
-			if !m.rowFitsWidth(m.rowIdx(yy, zz), w) {
-				return yy
-			}
-		}
-	}
-	return -1
-}
-
 // FirstFit3D returns the first (in (z, y, x) base order) free
 // w x l x h cuboid — the contiguous first-fit search generalized with
-// the depth axis. On a depth-1 mesh (including the torus, where h must
-// be 1) it is exactly the planar FirstFit.
+// the depth axis (windowScan). On a depth-1 mesh it is the planar
+// FirstFit; on the torus h must be 1.
 func (m *Mesh) FirstFit3D(w, l, h int) (Submesh, bool) {
-	if w <= 0 || l <= 0 || h <= 0 || w > m.w || l > m.l || h > m.h {
+	if !m.shapeOK(w, l, h) {
 		return Submesh{}, false
 	}
-	if m.h == 1 {
-		return m.FirstFit(w, l)
+	c, _, ok := m.windowScan(0, m.baseRows(l, h), w, l, h, &m.hist.scan, true)
+	if !ok {
+		return Submesh{}, false
 	}
-	return m.firstFit3D(w, l, h)
-}
-
-// firstFit3D scans the candidate space plane window by plane window,
-// the surviving windows answered by a bitboard fit mask per base row.
-// Arguments are positive and within the mesh sides; the mesh has
-// depth > 1 (planar meshes take the 2D path).
-func (m *Mesh) firstFit3D(w, l, h int) (Submesh, bool) {
-	mask := sizedWordScratch(&m.hist.winMask, m.wpr)
-	for z := 0; ; z++ {
-		z = m.nextWindowPlane(z, w, h)
-		if z+h > m.h {
-			return Submesh{}, false
-		}
-		for y := 0; y+l <= m.l; {
-			if bad := m.blockingWindowRow(y, z, w, l, h); bad >= 0 {
-				y = bad + 1
-				continue
-			}
-			if m.planarFitMaskInto(mask, y, z, w, l, h) {
-				if x := firstMaskBit(mask, m.w); x >= 0 {
-					return SubAt3D(x, y, z, w, l, h), true
-				}
-			}
-			y++
-		}
-	}
+	return SubAt3D(c.X, c.Y, c.Z, w, l, h), true
 }
 
 // BestFit3D returns the free w x l x h cuboid whose placement touches
 // the most busy-or-border processors across its six faces (the planar
 // boundary-pressure score generalized from perimeter edges to faces).
-// The (z, y, x)-first candidate wins ties. On a depth-1 mesh it is
-// exactly the planar BestFit.
+// The (z, y, x)-first candidate wins ties. On a depth-1 mesh it is the
+// planar BestFit.
 func (m *Mesh) BestFit3D(w, l, h int) (Submesh, bool) {
-	if w <= 0 || l <= 0 || h <= 0 || w > m.w || l > m.l || h > m.h {
+	if !m.shapeOK(w, l, h) {
 		return Submesh{}, false
 	}
-	if m.h == 1 {
-		return m.BestFit(w, l)
-	}
-	best := Submesh{}
-	bestScore := -1
-	mask := sizedWordScratch(&m.hist.winMask, m.wpr)
-	for z := 0; ; z++ {
-		z = m.nextWindowPlane(z, w, h)
-		if z+h > m.h {
-			break
-		}
-		for y := 0; y+l <= m.l; {
-			if bad := m.blockingWindowRow(y, z, w, l, h); bad >= 0 {
-				y = bad + 1
-				continue
-			}
-			if m.planarFitMaskInto(mask, y, z, w, l, h) {
-				for i, v := range mask {
-					base := i << 6
-					for v != 0 {
-						x := base + bits.TrailingZeros64(v)
-						v &= v - 1
-						s := SubAt3D(x, y, z, w, l, h)
-						if score := m.boundaryPressure3D(s); score > bestScore {
-							bestScore = score
-							best = s
-						}
-					}
-				}
-			}
-			y++
-		}
-	}
-	if bestScore < 0 {
+	c, _, ok := m.windowScan(0, m.baseRows(l, h), w, l, h, &m.hist.scan, false)
+	if !ok {
 		return Submesh{}, false
 	}
-	return best, true
+	return SubAt3D(c.X, c.Y, c.Z, w, l, h), true
 }
 
 // boundaryPressure3D counts face-adjacent positions of s that abut the
-// mesh border or a busy processor. Each of the six face slabs is a
-// pop-count over its plane-rows' masked words (scanBusyBox); slabs
-// falling off the mesh count whole as border. Edges and corners are
-// not counted, matching the planar score's edge-only perimeter.
+// mesh border or a busy processor. Per plane, the one-row y faces are
+// masked popcounts (busyRowSpanBits) and the one-column x faces one bit
+// probe per row (busyColumn); the z faces are popcount passes over
+// their plane (scanBusyBox). Faces falling off the mesh count whole as
+// border. Edges and corners are not counted, matching the planar
+// score's edge-only perimeter.
 func (m *Mesh) boundaryPressure3D(s Submesh) int {
+	w, l := s.W(), s.L()
 	score := 0
-	if s.Y1 == 0 {
-		score += s.W() * s.H()
-	} else {
-		score += m.scanBusyBox(s.X1, s.Y1-1, s.Z1, s.X2, s.Y1-1, s.Z2)
-	}
-	if s.Y2 == m.l-1 {
-		score += s.W() * s.H()
-	} else {
-		score += m.scanBusyBox(s.X1, s.Y2+1, s.Z1, s.X2, s.Y2+1, s.Z2)
-	}
-	if s.X1 == 0 {
-		score += s.L() * s.H()
-	} else {
-		score += m.scanBusyBox(s.X1-1, s.Y1, s.Z1, s.X1-1, s.Y2, s.Z2)
-	}
-	if s.X2 == m.w-1 {
-		score += s.L() * s.H()
-	} else {
-		score += m.scanBusyBox(s.X2+1, s.Y1, s.Z1, s.X2+1, s.Y2, s.Z2)
+	for z := s.Z1; z <= s.Z2; z++ {
+		r1, r2 := m.rowIdx(s.Y1, z), m.rowIdx(s.Y2, z)
+		if s.Y1 == 0 {
+			score += w
+		} else {
+			score += m.busyRowSpanBits(r1-1, s.X1, s.X2)
+		}
+		if s.Y2 == m.l-1 {
+			score += w
+		} else {
+			score += m.busyRowSpanBits(r2+1, s.X1, s.X2)
+		}
+		if s.X1 == 0 {
+			score += l
+		} else {
+			score += m.busyColumn(s.X1-1, r1, r2)
+		}
+		if s.X2 == m.w-1 {
+			score += l
+		} else {
+			score += m.busyColumn(s.X2+1, r1, r2)
+		}
 	}
 	if s.Z1 == 0 {
-		score += s.W() * s.L()
+		score += w * l
 	} else {
 		score += m.scanBusyBox(s.X1, s.Y1, s.Z1-1, s.X2, s.Y2, s.Z1-1)
 	}
 	if s.Z2 == m.h-1 {
-		score += s.W() * s.L()
+		score += w * l
 	} else {
 		score += m.scanBusyBox(s.X1, s.Y1, s.Z2+1, s.X2, s.Y2, s.Z2+1)
 	}
 	return score
+}
+
+// busyColumn counts the busy cells of column x over plane-rows r1..r2:
+// one bit probe per row, cheaper than a masked popcount pass for a
+// one-column strip.
+func (m *Mesh) busyColumn(x, r1, r2 int) int {
+	n, bit := 0, uint(x&63)
+	for i := r1*m.wpr + x>>6; r1 <= r2; r1++ {
+		n += int(^m.freeW[i] >> bit & 1)
+		i += m.wpr
+	}
+	return n
 }
 
 // spread3 is the 3D shape tie-breaker: the spread between the longest
@@ -310,7 +233,7 @@ func (m *Mesh) LargestFree3D(maxW, maxL, maxH, maxVol int) (Submesh, bool) {
 // so the fold is exact (the planar reduction of
 // docs/occupancy-index.md §6, applied per (d, l) pair). Phase 3
 // locates the winner: each shape achieving the optimum is placed with
-// firstFit3D and the (z, y, x)-first base wins, smaller d then l at an
+// FirstFit3D and the (z, y, x)-first base wins, smaller d then l at an
 // equal base — the scan's own enumeration order.
 func (m *Mesh) largestFree3D(maxW, maxL, maxH, maxVol int) (Submesh, bool) {
 	mw := m.sweepVolume(maxL, maxH)
@@ -361,10 +284,10 @@ func (m *Mesh) largestFree3D(maxW, maxL, maxH, maxVol int) (Submesh, bool) {
 			if w == 0 || w*l*d != bestVol || spread3(w, l, d) != bestSpr {
 				continue
 			}
-			s, ok := m.firstFit3D(w, l, d)
+			s, ok := m.FirstFit3D(w, l, d)
 			if !ok {
 				// MW(d, l) >= w guarantees a free w x l x d cuboid
-				// exists; firstFit3D not finding one means the sweep
+				// exists; FirstFit3D not finding one means the sweep
 				// and the search disagree on occupancy.
 				panic("mesh: 3D sweep found no base for its best shape")
 			}

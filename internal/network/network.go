@@ -173,7 +173,7 @@ func (p *Packet) Latency() des.Time { return p.DeliveredAt - p.CreatedAt }
 
 type channel struct {
 	busy  bool
-	down  bool // link failed (fault.go): rejects new grants
+	down  bool      // link failed (fault.go): rejects new grants
 	queue []*Packet // FIFO of waiting headers
 }
 

@@ -317,7 +317,7 @@ func TestFaultPlanValidate(t *testing.T) {
 		{MaxFailures: -2},
 		{Policy: "retry"},
 		{Outages: []Outage{{At: -1, Region: mesh.SubAt(0, 0, 1, 1)}}},
-		{Outages: []Outage{{Region: mesh.SubAt(3, 3, 4, 4)}}}, // spills off 4x4
+		{Outages: []Outage{{Region: mesh.SubAt(3, 3, 4, 4)}}},         // spills off 4x4
 		{Outages: []Outage{{Region: mesh.SubAt3D(0, 0, 1, 1, 1, 1)}}}, // z beyond 2D
 	} {
 		cfg := faultCfg(4, 4, 0, plan)

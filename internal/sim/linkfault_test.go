@@ -212,7 +212,7 @@ func TestLinkPlanValidate(t *testing.T) {
 		{MTTR: -2},
 		{MaxFailures: -3},
 		{Outages: []LinkOutage{{At: -1, Links: []LinkRef{{X: 0, Y: 0, Dir: "East"}}}}},
-		{Outages: []LinkOutage{{}}},                                              // names no links
+		{Outages: []LinkOutage{{}}}, // names no links
 		{Outages: []LinkOutage{{Links: []LinkRef{{X: 0, Y: 0, Dir: "Sideways"}}}}},
 		{Outages: []LinkOutage{{Links: []LinkRef{{X: 0, Y: 0, Dir: "Inject"}}}}}, // processor link
 		{Outages: []LinkOutage{{Links: []LinkRef{{X: 9, Y: 0, Dir: "East"}}}}},   // off the mesh

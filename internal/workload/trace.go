@@ -26,64 +26,42 @@ import (
 // Both readers drop unusable records (non-positive sizes, negative
 // runtimes) exactly as trace-driven studies conventionally do.
 
-// ReadTrace parses a native-format trace. Shapes are derived with
-// ShapeFor against the given mesh geometry (a depth-d record shapes
-// its per-plane processors and requests d planes); per-processor
-// message counts are drawn from rng with mean numMes (they are a
-// property of the simulated communication, not of the trace).
+// ReadTrace parses a native-format trace. Lines are split, parsed and
+// accepted or dropped by the streaming reader's own helpers
+// (traceFields, parseTraceLine, traceRecord.shape), so both readers
+// accept exactly the same files; ReadTrace additionally sorts by
+// arrival. Shapes are derived with ShapeFor against the given mesh
+// geometry (a depth-d record shapes its per-plane processors and
+// requests d planes); per-processor message counts are drawn from rng
+// with mean numMes (they are a property of the simulated
+// communication, not of the trace).
 func ReadTrace(r io.Reader, meshW, meshL int, numMes float64, rng *stats.Stream) ([]Job, error) {
 	var jobs []Job
+	var fields [4][]byte
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
 	line := 0
 	for sc.Scan() {
 		line++
-		text := strings.TrimSpace(sc.Text())
-		if text == "" || strings.HasPrefix(text, "#") {
+		text := sc.Bytes()
+		if skipLine(text) {
 			continue
 		}
-		fields := strings.Fields(text)
-		if len(fields) < 3 {
-			return nil, fmt.Errorf("workload: trace line %d: want 3 fields, got %d", line, len(fields))
-		}
-		arrival, err := strconv.ParseFloat(fields[0], 64)
+		rec, err := parseTraceLine(&fields, traceFields(text, &fields), line)
 		if err != nil {
-			return nil, fmt.Errorf("workload: trace line %d: bad arrival: %v", line, err)
+			return nil, err
 		}
-		procs, err := strconv.Atoi(fields[1])
-		if err != nil {
-			return nil, fmt.Errorf("workload: trace line %d: bad processor count: %v", line, err)
-		}
-		runtime, err := strconv.ParseFloat(fields[2], 64)
-		if err != nil {
-			return nil, fmt.Errorf("workload: trace line %d: bad runtime: %v", line, err)
-		}
-		depth := 1
-		if len(fields) >= 4 {
-			depth, err = strconv.Atoi(fields[3])
-			if err != nil {
-				return nil, fmt.Errorf("workload: trace line %d: bad depth: %v", line, err)
-			}
-		}
-		if procs <= 0 || depth <= 0 || runtime < 0 {
+		w, l, h, ok := rec.shape(meshW, meshL)
+		if !ok {
 			continue // unusable record
-		}
-		perPlane := (procs + depth - 1) / depth
-		if perPlane > meshW*meshL {
-			continue // unusable record
-		}
-		w, l := ShapeFor(perPlane, meshW, meshL)
-		h := 0
-		if depth > 1 {
-			h = depth
 		}
 		jobs = append(jobs, Job{
 			ID:       len(jobs),
-			Arrival:  arrival,
+			Arrival:  rec.arrival,
 			W:        w,
 			L:        l,
 			H:        h,
-			Compute:  runtime,
+			Compute:  rec.runtime,
 			Messages: rng.ExpInt(numMes),
 		})
 	}

@@ -98,9 +98,11 @@ func trimCR(b []byte) []byte {
 	return b
 }
 
-// traceFields splits a line into up to four whitespace-separated
-// fields in place (no allocation); extra fields are counted but not
-// kept, matching the materialized reader, which ignores them.
+// traceFields splits a line into up to four fields in place (no
+// allocation); extra fields are counted but not kept, and both readers
+// ignore them. Only ASCII whitespace and control bytes (<= ' ')
+// separate fields, so a non-ASCII space such as U+00A0 is part of a
+// field and fails its parse.
 func traceFields(line []byte, out *[4][]byte) int {
 	n := 0
 	i := 0
@@ -143,10 +145,8 @@ type traceRecord struct {
 	depth   int
 }
 
-// parseTraceLine parses one non-empty, non-comment line. It applies
-// the exact field semantics of the materialized ReadTrace: three
-// mandatory fields, an optional fourth depth field, the same error
-// messages, the same strconv conversions.
+// parseTraceLine parses one non-empty, non-comment line for both
+// readers: three mandatory fields, an optional fourth depth field.
 func parseTraceLine(fields *[4][]byte, n, lineNo int) (traceRecord, error) {
 	var rec traceRecord
 	if n < 3 {
@@ -173,6 +173,32 @@ func parseTraceLine(fields *[4][]byte, n, lineNo int) (traceRecord, error) {
 	}
 	rec.arrival, rec.procs, rec.runtime, rec.depth = arrival, procs, runtime, depth
 	return rec, nil
+}
+
+// perPlane is the readers' shared accept/drop rule: a record with a
+// non-positive size or depth, a negative runtime, or more processors
+// per plane than the mesh has is unusable (ok == false). A usable
+// record needs p processors in each of its depth planes.
+func (rec traceRecord) perPlane(meshW, meshL int) (p int, ok bool) {
+	if rec.procs <= 0 || rec.depth <= 0 || rec.runtime < 0 {
+		return 0, false
+	}
+	p = (rec.procs + rec.depth - 1) / rec.depth
+	return p, p <= meshW*meshL
+}
+
+// shape shapes a usable record with ShapeFor per plane; h is 0 for a
+// planar request and the depth otherwise. ok is perPlane's verdict.
+func (rec traceRecord) shape(meshW, meshL int) (w, l, h int, ok bool) {
+	p, ok := rec.perPlane(meshW, meshL)
+	if !ok {
+		return 0, 0, 0, false
+	}
+	w, l = ShapeFor(p, meshW, meshL)
+	if rec.depth > 1 {
+		h = rec.depth
+	}
+	return w, l, h, true
 }
 
 // skipLine reports whether the line is blank or a '#' comment.
@@ -299,11 +325,8 @@ func (s *TraceSource) Next() (Job, bool) {
 		if err != nil {
 			return s.fail(err)
 		}
-		if rec.procs <= 0 || rec.depth <= 0 || rec.runtime < 0 {
-			continue // unusable record
-		}
-		perPlane := (rec.procs + rec.depth - 1) / rec.depth
-		if perPlane > s.meshW*s.meshL {
+		w, l, h, ok := rec.shape(s.meshW, s.meshL)
+		if !ok {
 			continue // unusable record
 		}
 		if s.started && rec.arrival < s.last {
@@ -312,11 +335,6 @@ func (s *TraceSource) Next() (Job, bool) {
 		}
 		s.started = true
 		s.last = rec.arrival
-		w, l := ShapeFor(perPlane, s.meshW, s.meshL)
-		h := 0
-		if rec.depth > 1 {
-			h = rec.depth
-		}
 		j := Job{
 			ID:       s.next,
 			Arrival:  rec.arrival,
@@ -384,11 +402,7 @@ func ScanTrace(r io.Reader, meshW, meshL int, chunk int) (TraceStats, error) {
 		if err != nil {
 			return st, err
 		}
-		if rec.procs <= 0 || rec.depth <= 0 || rec.runtime < 0 {
-			continue
-		}
-		perPlane := (rec.procs + rec.depth - 1) / rec.depth
-		if perPlane > meshW*meshL {
+		if _, ok := rec.perPlane(meshW, meshL); !ok {
 			continue
 		}
 		if st.Jobs == 0 {

@@ -67,6 +67,17 @@ func TestTraceSourceMatchesReadTrace(t *testing.T) {
 			}
 		}
 	}
+	// Both readers split on ASCII whitespace only: a no-break space
+	// (U+00A0) joins "1" and "8" into one field, and both reject line 2
+	// with the same error.
+	text := "0 4 10\n1\u00a08 20\n2 4 30\n"
+	_, want := ReadTrace(strings.NewReader(text), 16, 22, 5, stats.NewStream(77))
+	src := NewTraceSource(strings.NewReader(text), "t", 16, 22, 5, stats.NewStream(77), 0)
+	for _, ok := src.Next(); ok; _, ok = src.Next() {
+	}
+	if got := src.Err(); want == nil || got == nil || got.Error() != want.Error() {
+		t.Fatalf("no-break space: ReadTrace error %v, TraceSource error %v; want the same error", want, got)
+	}
 }
 
 // TestTraceSourceTruncatedFinalLine checks a final record without a
