@@ -16,6 +16,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -202,6 +203,9 @@ func main() {
 		// Unknown names fall through to sim.New's "unknown strategy"
 		// diagnostic; this branch is for real-but-planar strategies.
 		fmt.Fprintf(os.Stderr, "meshsim: -depth %d conflicts with -strategy %s: the strategy is 2D-only; pick a 3D-capable strategy or -depth 1\n", *meshH, *strategy)
+		os.Exit(1)
+	case !(*load > 0) || math.IsInf(*load, 1):
+		fmt.Fprintf(os.Stderr, "meshsim: -load %g is invalid; the load must be positive and finite\n", *load)
 		os.Exit(1)
 	case *diAmp < 0 || *diAmp >= 1:
 		fmt.Fprintf(os.Stderr, "meshsim: -diurnal-amplitude %g is invalid; the amplitude must be in [0, 1)\n", *diAmp)

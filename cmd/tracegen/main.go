@@ -1,9 +1,9 @@
 // Command tracegen emits a synthetic SDSC Paragon workload trace in the
-// native "arrival procs runtime" format (see DESIGN.md §3.1 for the
-// statistical model and the substitution rationale). With -depth above
-// 1 each job's processors are redistributed into a cuboid request and
-// the four-field "arrival procs runtime depth" form is written. The
-// output feeds meshsim -workload trace or any external tool.
+// native "arrival procs runtime" format (workload.ParagonSpec documents
+// the statistical model). With -depth above 1 each job's processors
+// are redistributed into a cuboid request and the four-field "arrival
+// procs runtime depth" form is written. The output feeds meshsim
+// -workload trace or any external tool.
 //
 // Examples:
 //
@@ -14,6 +14,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 
 	"repro/internal/stats"
@@ -32,8 +33,18 @@ func main() {
 	)
 	flag.Parse()
 
-	if *meshH < 1 {
+	switch {
+	case *meshH < 1:
 		fmt.Fprintf(os.Stderr, "tracegen: -depth %d is invalid; depth must be at least 1\n", *meshH)
+		os.Exit(1)
+	case *jobs < 1:
+		fmt.Fprintf(os.Stderr, "tracegen: -jobs %d is invalid; the trace needs at least 1 job\n", *jobs)
+		os.Exit(1)
+	case *meshW < 1 || *meshL < 1:
+		fmt.Fprintf(os.Stderr, "tracegen: -width %d -length %d is invalid; both sides must be at least 1\n", *meshW, *meshL)
+		os.Exit(1)
+	case !(*meanI > 0) || math.IsInf(*meanI, 1):
+		fmt.Fprintf(os.Stderr, "tracegen: -interarrival %g is invalid; the mean must be positive and finite\n", *meanI)
 		os.Exit(1)
 	}
 	spec := workload.DefaultParagon()

@@ -82,7 +82,7 @@ func (c *Contiguous) Release(a Allocation) { release(c.m, a) }
 // Random is the fully scattered non-contiguous baseline: a request for
 // p processors takes p uniformly random free processors with no regard
 // for contiguity. It bounds the worst case of communication dispersal
-// and anchors the GABL-contiguity ablation (DESIGN.md A3).
+// and anchors the GABL-contiguity ablation (ablA3 in core.Ablations).
 type Random struct {
 	m   *mesh.Mesh
 	rng *stats.Stream

@@ -19,7 +19,7 @@ import "math/bits"
 //     rectangle based at x is free, and enumeration is bit iteration;
 //   - the torus seam band is one word rotation (doubleRowInto) instead
 //     of a per-column copy, and the 3D AND-projected plane is a flat
-//     word-wise AND across z slabs (volume.go).
+//     word-wise AND across z slabs (histogram.go).
 //
 // Layout invariants (enforced against the run tables and the busy map
 // by checkTables after every mutation in the oracle tests and the fuzz
@@ -56,10 +56,10 @@ func (m *Mesh) setFreeBit(r, x int) { m.freeW[r*m.wpr+x>>6] |= 1 << uint(x&63) }
 // clearFreeBit marks column x of plane-row r busy.
 func (m *Mesh) clearFreeBit(r, x int) { m.freeW[r*m.wpr+x>>6] &^= 1 << uint(x&63) }
 
-// rowFullyFree reports whether every cell of plane-row r is free: full
-// words all ones, the tail word exactly the tail mask. O(wpr).
-func (m *Mesh) rowFullyFree(r int) bool {
-	words := m.rowWords(r)
+// fullyFree reports whether every cell of a w-wide row's words is
+// free: full words all ones, the tail word exactly the tail mask.
+// O(words).
+func fullyFree(words []uint64, w int) bool {
 	last := len(words) - 1
 	for i := 0; i < last; i++ {
 		if words[i] != ^uint64(0) {
@@ -67,7 +67,7 @@ func (m *Mesh) rowFullyFree(r int) bool {
 		}
 	}
 	tailMask := ^uint64(0)
-	if tail := uint(m.w & 63); tail != 0 {
+	if tail := uint(w & 63); tail != 0 {
 		tailMask >>= 64 - tail
 	}
 	return words[last] == tailMask

@@ -33,17 +33,15 @@
 // window-row check, the fit-mask builder and the score (search.go,
 // docs/occupancy-index.md §7).
 //
-// The constrained-largest search (LargestFree, the heart of GABL's
-// carving) runs as a best-first shape-probe phase backed by an O(W·L)
-// maximal-rectangle-in-histogram sweep — over the doubled seam band on
-// a torus — with release-epoch memoization of alloc-monotone facts;
-// the pre-histogram per-anchor scan is kept as the reference its
-// differential tests compare against (histogram.go,
-// docs/occupancy-index.md §6). Its volumetric counterpart
-// (LargestFree3D) runs the same sweep per AND-projected plane under a
-// z-extent outer loop, with the naive volumetric scan kept as
-// largestFreeScan3D (volume.go, reference_test.go,
-// docs/occupancy-index.md §7).
+// The constrained-largest search (LargestFree3D, the heart of GABL's
+// carving; LargestFree is its depth-1 case) is one search on every
+// fabric: a best-first shape-probe phase backed by an O(W·L)
+// maximal-rectangle-in-histogram sweep per (base plane, depth)
+// AND-projection — over the doubled seam band on a torus — with
+// release-epoch memoization of alloc-monotone facts (refuted shapes, a
+// cached bound). The per-anchor scans it replaced are kept as the
+// references its differential tests compare against (histogram.go,
+// reference_test.go, docs/occupancy-index.md §6).
 //
 // # Topologies
 //
@@ -63,10 +61,10 @@
 //
 // On a 3D mesh the searches gain the depth axis (FirstFit3D, BestFit3D,
 // LargestFree3D, FitsAt3D) scanning candidate bases in (z, y, x) order
-// with plane-aggregate pruning. The planar FirstFit and BestFit are the
-// depth-1 case of the same scan, and LargestFree3D delegates to the
-// planar sweep on depth-1 meshes, so 2D placements and tie-breaking are
-// identical whichever entry point is called (volume.go).
+// with plane-aggregate pruning. The planar FirstFit, BestFit and
+// LargestFree are the depth-1 cases of the same searches, so 2D
+// placements and tie-breaking are identical whichever entry point is
+// called (volume.go).
 //
 // # Search executors
 //

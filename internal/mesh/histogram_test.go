@@ -1,9 +1,11 @@
 package mesh
 
-// Differential tests pinning the histogram-based LargestFree to the
-// retained per-anchor scan (largestFreeScan / torusLargestFreeScan),
-// result for result: same found flag, same base, same shape — which is
-// the bit-identical-placements guarantee GABL and ANCA inherit.
+// Differential tests pinning the constrained-largest search
+// (LargestFree3D, and LargestFree as its depth-1 case) to the retained
+// per-anchor scans (largestFreeScan / torusLargestFreeScan /
+// largestFreeScan3D), result for result: same found flag, same base,
+// same shape — which is the bit-identical-placements guarantee GABL and
+// ANCA inherit.
 
 import (
 	"math/rand"
@@ -12,37 +14,53 @@ import (
 	"repro/internal/stats"
 )
 
-// checkLargestAgainstScan compares the histogram search with the
-// retained scan for one cap combination on the current occupancy.
-func checkLargestAgainstScan(t *testing.T, m *Mesh, maxW, maxL, maxArea int) {
+// checkLargestAgainstScan compares the constrained-largest search with
+// the retained scan (largestFreeScan3D, which defers to the planar
+// scans on depth-1 meshes) for one cap combination on the current
+// occupancy.
+func checkLargestAgainstScan(t *testing.T, m *Mesh, caps [4]int) {
 	t.Helper()
-	got, okGot := m.LargestFree(maxW, maxL, maxArea)
-	want, okWant := m.largestFreeScan(maxW, maxL, maxArea)
+	got, okGot := m.LargestFree3D(caps[0], caps[1], caps[2], caps[3])
+	want, okWant := m.largestFreeScan3D(caps[0], caps[1], caps[2], caps[3])
 	if okGot != okWant || got != want {
-		t.Fatalf("LargestFree(%d,%d,%d) torus=%v: histogram %v,%v; scan %v,%v\n%s",
-			maxW, maxL, maxArea, m.torus, got, okGot, want, okWant, m)
+		t.Fatalf("LargestFree3D%v torus=%v: search %v,%v; scan %v,%v\n%s",
+			caps, m.torus, got, okGot, want, okWant, m)
 	}
 }
 
-// capCombos yields cap triples spanning the space the allocators use:
-// request-shaped, rotated, area-limited (GABL's remaining-owed cap),
-// unconstrained, degenerate strips, and a random point.
-func capCombos(m *Mesh, rng *rand.Rand) [][3]int {
+// capCombos yields (maxW, maxL, maxH, maxVol) caps spanning the space
+// the allocators use: request-shaped, rotated, volume-limited (GABL's
+// remaining-owed cap), unconstrained, degenerate strips, and a random
+// point. Depths are drawn only on a 3D mesh, so the planar draws stay
+// as they are.
+func capCombos(m *Mesh, rng *rand.Rand) [][4]int {
+	depth := func() int {
+		if m.h == 1 {
+			return 1
+		}
+		return 1 + rng.Intn(m.h)
+	}
 	w, l := 1+rng.Intn(m.w), 1+rng.Intn(m.l)
-	return [][3]int{
-		{w, l, w * l},                     // request-shaped
-		{l, w, w * l},                     // rotated (l may exceed W: clamps)
-		{w, l, 1 + rng.Intn(w*l)},         // area-capped carve
-		{m.w, m.l, m.w * m.l},             // unconstrained
-		{m.w, m.l, 1 + rng.Intn(m.w*m.l)}, // area-only cap
-		{1, m.l, m.l},                     // vertical strip
-		{m.w, 1, m.w},                     // horizontal strip
-		{1 + rng.Intn(m.w), 1 + rng.Intn(m.l), 1 + rng.Intn(m.w*m.l)}, // random
+	h := depth()
+	return [][4]int{
+		{w, l, h, w * l * h},                    // request-shaped
+		{l, w, h, w * l * h},                    // rotated (l may exceed W: clamps)
+		{w, l, h, 1 + rng.Intn(w*l*h)},          // volume-capped carve
+		{m.w, m.l, m.h, m.Size()},               // unconstrained
+		{m.w, m.l, m.h, 1 + rng.Intn(m.Size())}, // volume-only cap
+		{1, m.l, 1, m.l},                        // vertical strip
+		{m.w, 1, 1, m.w},                        // horizontal strip
+		{1, 1, m.h, m.h},                        // depth column
+		{1 + rng.Intn(m.w), 1 + rng.Intn(m.l), depth(), 1 + rng.Intn(m.Size())}, // random
 	}
 }
 
-// driveDifferential churns random rectangle allocations and releases on
-// m, cross-checking every cap combination after each mutation batch.
+// driveDifferential churns random box allocations and releases on m,
+// cross-checking every cap combination after each mutation. Releases
+// come one step in three, so runs of allocations share a release epoch
+// and the search's memo (refuted shapes, cached MW bound) carries
+// across the checks; the first combination is then asked again, the
+// repeated call a GABL carve makes within one epoch.
 func driveDifferential(t *testing.T, m *Mesh, seed int64, steps int) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
@@ -58,6 +76,10 @@ func driveDifferential(t *testing.T, m *Mesh, seed int64, steps int) {
 		} else {
 			x, y := rng.Intn(m.w), rng.Intn(m.l)
 			s := SubAt(x, y, 1+rng.Intn(min(4, m.w)), 1+rng.Intn(min(4, m.l)))
+			if m.h > 1 {
+				z := rng.Intn(m.h)
+				s = SubAt3D(x, y, z, s.W(), s.L(), 1+rng.Intn(m.h-z))
+			}
 			if m.torus {
 				for _, p := range m.SplitWrap(s) {
 					if m.scanBusyRect(p.X1, p.Y1, p.X2, p.Y2) != 0 {
@@ -75,17 +97,21 @@ func driveDifferential(t *testing.T, m *Mesh, seed int64, steps int) {
 			}
 		}
 	next:
-		for _, caps := range capCombos(m, rng) {
-			checkLargestAgainstScan(t, m, caps[0], caps[1], caps[2])
+		combos := capCombos(m, rng)
+		for _, caps := range combos {
+			checkLargestAgainstScan(t, m, caps)
 		}
+		checkLargestAgainstScan(t, m, combos[0])
 	}
 }
 
 func TestLargestFreeHistogramVsScanMesh(t *testing.T) {
 	driveDifferential(t, New(16, 22), 101, 400)
-	driveDifferential(t, New(9, 7), 103, 300) // wider than long
-	driveDifferential(t, New(1, 13), 107, 80) // degenerate column
-	driveDifferential(t, New(13, 1), 109, 80) // degenerate row
+	driveDifferential(t, New(9, 7), 103, 300)       // wider than long
+	driveDifferential(t, New(1, 13), 107, 80)       // degenerate column
+	driveDifferential(t, New(13, 1), 109, 80)       // degenerate row
+	driveDifferential(t, New3D(10, 9, 4), 113, 200) // 3D
+	driveDifferential(t, New3D(6, 5, 3), 127, 150)  // 3D, shallow
 }
 
 func TestLargestFreeHistogramVsScanTorus(t *testing.T) {
@@ -118,7 +144,7 @@ func TestLargestFreeHistogramDenseScatter(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, caps := range capCombos(m, rng) {
-				checkLargestAgainstScan(t, m, caps[0], caps[1], caps[2])
+				checkLargestAgainstScan(t, m, caps)
 			}
 		}
 	}
@@ -130,15 +156,15 @@ func TestLargestFreeHistogramCapEdges(t *testing.T) {
 	if err := m.AllocateSub(Sub(2, 1, 3, 3)); err != nil {
 		t.Fatal(err)
 	}
-	for _, caps := range [][3]int{
-		{0, 5, 30}, {6, 0, 30}, {6, 5, 0}, // zero caps reject
-		{-1, 5, 30}, {6, 5, -2}, // negative caps reject
-		{100, 100, 10000}, // oversize caps clamp
-		{1, 1, 1},         // single processor
-		{6, 5, 1},         // area cap of one
-		{2, 5, 7},         // non-divisible area cap
+	for _, caps := range [][4]int{
+		{0, 5, 1, 30}, {6, 0, 1, 30}, {6, 5, 0, 30}, {6, 5, 1, 0}, // zero caps reject
+		{-1, 5, 1, 30}, {6, 5, -1, 30}, {6, 5, 1, -2}, // negative caps reject
+		{100, 100, 100, 10000}, // oversize caps clamp
+		{1, 1, 1, 1},           // single processor
+		{6, 5, 1, 1},           // area cap of one
+		{2, 5, 1, 7},           // non-divisible area cap
 	} {
-		checkLargestAgainstScan(t, m, caps[0], caps[1], caps[2])
+		checkLargestAgainstScan(t, m, caps)
 	}
 }
 

@@ -91,8 +91,9 @@ type Mesh struct {
 	planeStale []bool
 
 	// hist holds the reusable buffers of the histogram-based
-	// constrained-largest searches (histogram.go, volume.go); lazily
-	// sized, never part of the occupancy state (Clone starts fresh).
+	// constrained-largest search and the serial window scans
+	// (histogram.go); lazily sized, never part of the occupancy state
+	// (Clone starts fresh).
 	hist histScratch
 	// releaseEpoch counts mutations that freed processors. The
 	// constrained-largest search memoizes alloc-monotone facts (failed

@@ -118,6 +118,31 @@ func (m *Mesh) largestFreeScan(maxW, maxL, maxArea int) (Submesh, bool) {
 	return best, bestFound
 }
 
+// largestIdeal returns the best conceivable (area, skew) under the
+// caps, occupancy aside: the planar reference scans stop the moment
+// they record a candidate this good, since later candidates can at
+// best tie and first-found wins.
+func largestIdeal(maxW, maxL, maxArea int) (idealArea, idealSkew int) {
+	for l := 1; l <= maxL; l++ {
+		w := maxW
+		if w*l > maxArea {
+			w = maxArea / l
+		}
+		if w*l > idealArea {
+			idealArea = w * l
+		}
+	}
+	idealSkew = idealArea // worse than any real candidate's skew
+	for l := 1; l <= maxL; l++ {
+		if idealArea%l == 0 {
+			if w := idealArea / l; w <= maxW && abs(w-l) < idealSkew {
+				idealSkew = abs(w - l)
+			}
+		}
+	}
+	return idealArea, idealSkew
+}
+
 // torusBlockedUntil returns 0 when the w x l sub-mesh based at (x, y)
 // — extents wrapping — is free, and otherwise the number of bases to
 // skip: the first blocking row's run ends at a busy processor that

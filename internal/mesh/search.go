@@ -245,28 +245,12 @@ func (m *Mesh) BestFit(w, l int) (Submesh, bool) { return m.BestFit3D(w, l, 1) }
 // the search at the heart of GABL: the first piece is capped by the
 // request's sides, later pieces by the previous piece's sides, and all
 // pieces by the processors still owed. On a torus the candidate space
-// includes seam-crossing placements.
-//
-// The search runs as an O(W·L) histogram sweep (histogram.go); the
-// per-anchor scan it replaced is kept in reference_test.go as
-// largestFreeScan — the reference the differential tests hold the
-// sweep to, result for result.
+// includes seam-crossing placements. It is the depth-1 LargestFree3D;
+// the per-anchor scan the search replaced is kept in reference_test.go
+// as largestFreeScan — the reference the differential tests hold it
+// to, result for result.
 func (m *Mesh) LargestFree(maxW, maxL, maxArea int) (Submesh, bool) {
-	if maxW <= 0 || maxL <= 0 || maxArea <= 0 {
-		return Submesh{}, false
-	}
-	if maxW > m.w {
-		maxW = m.w
-	}
-	if maxL > m.l {
-		maxL = m.l
-	}
-	if m.h > 1 {
-		// A 2D constrained-largest on a 3D mesh is the depth-capped-at-1
-		// volumetric search (volume.go).
-		return m.largestFree3D(maxW, maxL, 1, maxArea)
-	}
-	return m.largestFreeHist(maxW, maxL, maxArea)
+	return m.LargestFree3D(maxW, maxL, 1, maxArea)
 }
 
 // LargestFreeAnywhere returns the unconstrained largest free sub-mesh

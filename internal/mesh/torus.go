@@ -217,28 +217,3 @@ func (m *Mesh) torusBoundaryPressure(s Submesh) int {
 	}
 	return score
 }
-
-// largestIdeal returns the best conceivable (area, skew) under the
-// caps, occupancy aside: the constrained-largest searches stop the
-// moment they record a candidate this good, since later candidates can
-// at best tie and first-found wins.
-func largestIdeal(maxW, maxL, maxArea int) (idealArea, idealSkew int) {
-	for l := 1; l <= maxL; l++ {
-		w := maxW
-		if w*l > maxArea {
-			w = maxArea / l
-		}
-		if w*l > idealArea {
-			idealArea = w * l
-		}
-	}
-	idealSkew = idealArea // worse than any real candidate's skew
-	for l := 1; l <= maxL; l++ {
-		if idealArea%l == 0 {
-			if w := idealArea / l; w <= maxW && abs(w-l) < idealSkew {
-				idealSkew = abs(w - l)
-			}
-		}
-	}
-	return idealArea, idealSkew
-}

@@ -5,27 +5,18 @@ package mesh
 // bitboard words are per-(row, plane), the per-row aggregates stack
 // into the z-axis planeMax aggregate, and cuboid occupancy queries
 // (SubFree/FitsAt/BusyInRect/FreeInRect) are masked word compares and
-// pop-counts over the slab's rows. Here live the depth-general pieces
-// of the searches:
+// pop-counts over the slab's rows. Here live the depth-general entry
+// points of the searches:
 //
 //   - FirstFit3D / BestFit3D, the entry points of the one window scan
 //     (windowScan, search.go) that serves every fabric — the planar
 //     FirstFit/BestFit delegate to them with h = 1 — plus the plane
 //     filter (planeFitsWidth) and the face score (boundaryPressure3D)
 //     the scan uses on slabs;
-//   - largestFree3D runs the PR 3 maximal-rectangle-in-histogram sweep
-//     per projected plane under a z-extent outer loop: for every
-//     (base plane, depth) pair the planes are AND-projected and one
-//     O(W·L) sweep yields the widest free cuboid per height, folded
-//     into the best capped (volume, spread) and located with
-//     FirstFit3D. The naive volumetric scan is kept verbatim in
-//     reference_test.go as largestFreeScan3D — the reference the
-//     differential tests hold the sweep to, result for result
-//     (mirroring largestFreeScan).
-//
-// LargestFree3D on a depth-1 mesh (and the torus) delegates to the
-// planar LargestFree, whose sweep carries the probe phase and the
-// release-epoch memo this file's sweep lacks.
+//   - LargestFree3D, the entry point of the one constrained-largest
+//     search (largestFree, histogram.go) — the planar LargestFree
+//     delegates to it with maxH = 1 — and spread3, the shape
+//     tie-breaker of that search and of its reference scans.
 
 // planeMaxRescan re-derives plane z's aggregate from the per-row
 // bounds. The row bounds themselves may be stale-high, so the result
@@ -196,171 +187,11 @@ func spread3(w, l, h int) int {
 // base in (z, y, x) order, smaller heights then lengths winning at an
 // equal base — exactly the candidate and tie rules of the reference
 // largestFreeScan3D (reference_test.go), which the differential tests
-// hold it to. On a depth-1 mesh (and the torus) it is the planar
-// LargestFree.
+// hold it to. It runs the one constrained-largest search of every
+// fabric (histogram.go).
 func (m *Mesh) LargestFree3D(maxW, maxL, maxH, maxVol int) (Submesh, bool) {
-	if maxH <= 0 || maxVol <= 0 {
+	if maxW <= 0 || maxL <= 0 || maxH <= 0 || maxVol <= 0 {
 		return Submesh{}, false
 	}
-	if m.h == 1 {
-		return m.LargestFree(maxW, maxL, maxVol)
-	}
-	if maxW <= 0 || maxL <= 0 {
-		return Submesh{}, false
-	}
-	if maxW > m.w {
-		maxW = m.w
-	}
-	if maxL > m.l {
-		maxL = m.l
-	}
-	if maxH > m.h {
-		maxH = m.h
-	}
-	return m.largestFree3D(maxW, maxL, maxH, maxVol)
-}
-
-// largestFree3D is the sweep-backed LargestFree3D. Caps are positive
-// and clamped; the mesh has depth > 1.
-//
-// Phase 1 computes MW(d, l) — the widest free cuboid of height >= l
-// and depth >= d — by AND-projecting every (base plane, depth) pair
-// into a planar occupancy and running the monotonic-stack
-// maximal-rectangle sweep on it (sweepVolume). Phase 2 folds
-// the capped (volume, spread) optimum over (d, l): every scan
-// candidate at (d, l) has width at most fw(d, l) = min(MW(d, l), maxW,
-// maxVol/(l·d)), and fw is itself achieved inside the maximal cuboid,
-// so the fold is exact (the planar reduction of
-// docs/occupancy-index.md §6, applied per (d, l) pair). Phase 3
-// locates the winner: each shape achieving the optimum is placed with
-// FirstFit3D and the (z, y, x)-first base wins, smaller d then l at an
-// equal base — the scan's own enumeration order.
-func (m *Mesh) largestFree3D(maxW, maxL, maxH, maxVol int) (Submesh, bool) {
-	mw := m.sweepVolume(maxL, maxH)
-
-	// Phase 2: fold the capped (volume, spread) optimum over (d, l).
-	bestVol, bestSpr := 0, 0
-	for d := 1; d <= maxH; d++ {
-		row := mw[d*(maxL+1):]
-		for l := 1; l <= maxL; l++ {
-			w := row[l]
-			if w == 0 {
-				break // suffix max in l: taller is never wider
-			}
-			if w > maxW {
-				w = maxW
-			}
-			if w*l*d > maxVol {
-				w = maxVol / (l * d)
-			}
-			if w == 0 {
-				continue
-			}
-			vol, spr := w*l*d, spread3(w, l, d)
-			if vol > bestVol || (vol == bestVol && spr < bestSpr) {
-				bestVol, bestSpr = vol, spr
-			}
-		}
-	}
-	if bestVol == 0 {
-		return Submesh{}, false
-	}
-
-	// Phase 3: the scan's winner is the (z, y, x)-first base admitting
-	// a winning shape; d then l ascending keeps equal-base ties on the
-	// scan's within-anchor order.
-	var best Submesh
-	found := false
-	for d := 1; d <= maxH; d++ {
-		row := mw[d*(maxL+1):]
-		for l := 1; l <= maxL; l++ {
-			w := row[l]
-			if w > maxW {
-				w = maxW
-			}
-			if w*l*d > maxVol {
-				w = maxVol / (l * d)
-			}
-			if w == 0 || w*l*d != bestVol || spread3(w, l, d) != bestSpr {
-				continue
-			}
-			s, ok := m.FirstFit3D(w, l, d)
-			if !ok {
-				// MW(d, l) >= w guarantees a free w x l x d cuboid
-				// exists; FirstFit3D not finding one means the sweep
-				// and the search disagree on occupancy.
-				panic("mesh: 3D sweep found no base for its best shape")
-			}
-			if !found || s.Z1 < best.Z1 ||
-				(s.Z1 == best.Z1 && (s.Y1 < best.Y1 ||
-					(s.Y1 == best.Y1 && s.X1 < best.X1))) {
-				best, found = s, true
-			}
-		}
-	}
-	return best, found
-}
-
-// sweepVolume computes the MW(d, l) table of largestFree3D into the
-// mesh's scratch: every (base plane, depth) pair is AND-projected into
-// proj and swept (sweepProjectionInto), the per-shape records folded
-// by max into mw[d*(maxL+1)+l]. The projection is a flat word-wise AND
-// of the slab's bitboard words (free semantics: a projected column is
-// free iff free in every plane of the slab) — W·L/64 word ops per
-// deepening instead of a per-cell loop.
-func (m *Mesh) sweepVolume(maxL, maxH int) []int {
-	mw := sizedScratch(&m.hist.mw3, (maxH+1)*(maxL+1))
-	clear(mw)
-	proj := sizedWordScratch(&m.hist.proj, m.l*m.wpr)
-	cand := sizedScratch(&m.hist.cand3, maxL+1)
-	heights := sizedScratch(&m.hist.heights, m.w)
-	stackS := sizedScratch(&m.hist.stackS, m.w+1)
-	stackH := sizedScratch(&m.hist.stackH, m.w+1)
-	pw := m.l * m.wpr
-	for z0 := 0; z0 < m.h; z0++ {
-		dMax := maxH
-		if rest := m.h - z0; rest < dMax {
-			dMax = rest
-		}
-		for d := 1; d <= dMax; d++ {
-			plane := m.freeW[(z0+d-1)*pw : (z0+d)*pw]
-			if d == 1 {
-				copy(proj, plane)
-			} else {
-				for i, v := range plane {
-					proj[i] &= v
-				}
-			}
-			sweepProjectionInto(m.w, m.l, m.wpr, proj, maxL, cand, heights, stackS, stackH)
-			if cand[1] == 0 {
-				break // projection fully busy: deeper extents only worse
-			}
-			row := mw[d*(maxL+1):]
-			for l := 1; l <= maxL; l++ {
-				if cand[l] > row[l] {
-					row[l] = cand[l]
-				}
-			}
-		}
-	}
-	return mw
-}
-
-// sweepProjectionInto is the projection sweep proper over a w x l free
-// mask of wpr words per row: cand[l] is set to the width of the widest
-// free rectangle of height exactly-or-more l in the projection, for l
-// in 1..maxL. O(W·L), allocation-free — every buffer is caller-owned.
-func sweepProjectionInto(w, l, wpr int, proj []uint64, maxL int, cand, heights, stackS, stackH []int) {
-	clear(heights)
-	clear(cand)
-	for y := 0; y < l; y++ {
-		sweepRowWords(proj[y*wpr:(y+1)*wpr], w, maxL, w, heights, stackS, stackH, cand)
-	}
-	// A rectangle of height h contains one of every lesser height, so
-	// the per-height records suffix-max into MW.
-	for h := maxL - 1; h >= 1; h-- {
-		if cand[h] < cand[h+1] {
-			cand[h] = cand[h+1]
-		}
-	}
+	return m.largestFree(min(maxW, m.w), min(maxL, m.l), min(maxH, m.h), maxVol)
 }

@@ -1,7 +1,7 @@
 // Package network simulates a wormhole-switched mesh interconnect — 2D
 // or, with New3D, 3D — at channel granularity on top of the des engine.
 //
-// Model (see DESIGN.md §3.2): every unidirectional link — including each
+// Model: every unidirectional link — including each
 // node's injection and ejection links — is a channel that one packet
 // (worm) holds at a time, with a FIFO queue of waiting headers. A packet
 // follows the XY dimension-ordered route from source to destination. The

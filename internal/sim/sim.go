@@ -836,8 +836,9 @@ func (s *Simulator) packetDelivered(j *jobState, p *network.Packet) {
 	}
 	j.outstanding--
 	if j.outstanding == 0 {
-		// Communication phase done; the compute demand (zero for
-		// stochastic jobs) completes the service (DESIGN.md §3.3).
+		// Communication phase done; the compute demand completes the
+		// service. It is zero for stochastic jobs, whose service time
+		// is their communication alone.
 		j.doneEv = s.eng.ScheduleEvent(j.job.Compute, s.completeFn, j)
 	}
 }

@@ -114,12 +114,18 @@ func TestSyntheticParagonCustomSpec(t *testing.T) {
 }
 
 func TestSyntheticParagonPanicsOnBadSpec(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("bad spec did not panic")
-		}
-	}()
-	SyntheticParagon(ParagonSpec{}, 1)
+	noGaps := DefaultParagon()
+	noGaps.MeanInterarrival = 0
+	for _, spec := range []ParagonSpec{{}, noGaps} {
+		func() {
+			defer func() {
+				if r := recover(); r != "workload: invalid Paragon spec" {
+					t.Fatalf("bad spec %+v: recovered %v, want the invalid-spec panic", spec, r)
+				}
+			}()
+			SyntheticParagon(spec, 1)
+		}()
+	}
 }
 
 func TestIsPowerOfTwo(t *testing.T) {

@@ -75,7 +75,7 @@ type ParagonSource struct {
 // NewParagonSource builds the streaming synthetic-Paragon generator.
 // It panics on an invalid spec, exactly as SyntheticParagon does.
 func NewParagonSource(spec ParagonSpec, seed int64) *ParagonSource {
-	if spec.Jobs <= 0 || spec.MeshW <= 0 || spec.MeshL <= 0 {
+	if spec.Jobs <= 0 || spec.MeshW <= 0 || spec.MeshL <= 0 || spec.MeanInterarrival <= 0 {
 		panic("workload: invalid Paragon spec")
 	}
 	// Solve the lull mean so the mixture hits MeanInterarrival.
@@ -90,7 +90,7 @@ func NewParagonSource(spec ParagonSpec, seed int64) *ParagonSource {
 }
 
 // Name implements Source. The label matches the paper's "real"
-// workload, which this model substitutes for (DESIGN.md §3.1).
+// workload, which this model substitutes for (see ParagonSpec).
 func (s *ParagonSource) Name() string { return "real" }
 
 // Next implements Source: one job's draws — inter-arrival, size,
